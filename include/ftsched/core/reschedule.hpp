@@ -91,8 +91,9 @@ class ReschedulePolicy {
   virtual void on_event(const OnlineView& view, const OnlineEvent& event,
                         std::vector<ReplicaMove>& moves) = 0;
 
-  /// True for the no-op policy: the simulator then keeps the static
-  /// semantics (crashed processors never come back, stranded replicas die).
+  /// True for the no-op policy: the simulator then never consults it and
+  /// replays the static schedule — a permanent crash kills the replicas
+  /// stranded on its processor, a repaired processor resumes them.
   [[nodiscard]] virtual bool is_noop() const { return false; }
 };
 

@@ -146,10 +146,8 @@ struct CellDraw {
   bool default_model = true;          ///< legacy ε-uniform model?
   /// Unit repair delays, one per victim — non-empty only under a failure
   /// model with a repair law (FailureModel::has_repair()).  victims[i]
-  /// restarts at (unit_times[i] + unit_repair_delays[i]) × anchor; the
-  /// static simulate path ignores them (crashed processors never return),
-  /// which is exactly the static-vs-reactive comparison the policy sweep
-  /// axis pairs.
+  /// restarts at (unit_times[i] + unit_repair_delays[i]) × anchor on every
+  /// simulate path, static replay and online policies alike.
   std::vector<double> unit_repair_delays;
 };
 
@@ -168,10 +166,12 @@ struct CellDraw {
 ///
 /// A simulation is keyed by everything that determines its outcome on a
 /// fixed InstanceSchedules: the algorithm index and the *content* of the
-/// (victims, unit-times) prefix actually simulated — bit patterns, not
-/// model labels — so any two cells whose draws coincide (the shared k = 0
-/// scenario, fixed:k=ε vs eps, coinciding Bernoulli draws, ...) run the
-/// event simulation once and fan the Summary out.  Single-threaded: one
+/// (victims, unit-times, unit-repair-delays) prefix actually simulated —
+/// bit patterns, not model labels — so any two cells whose draws coincide
+/// (the shared k = 0 scenario, fixed:k=ε vs eps, coinciding Bernoulli
+/// draws, ...) run the event simulation once and fan the Summary out,
+/// while a repair law never shares an entry with the crash-only law that
+/// draws the same victims and instants.  Single-threaded: one
 /// cache serves one group on one worker, mirroring the InstanceSchedules
 /// threading contract.
 class SimulationCache {
@@ -191,7 +191,8 @@ class SimulationCache {
   struct Key {
     std::size_t algo = 0;
     std::vector<std::size_t> victims;
-    std::vector<std::uint64_t> times;  ///< unit-time bit patterns
+    /// Unit-time bit patterns, then those of any repair delays.
+    std::vector<std::uint64_t> times;
     [[nodiscard]] friend bool operator<(const Key& a, const Key& b) {
       if (a.algo != b.algo) return a.algo < b.algo;
       if (a.victims != b.victims) return a.victims < b.victims;
@@ -203,8 +204,10 @@ class SimulationCache {
   Stats stats_;
 };
 
-/// Runs the simulate phase of one cell on a fixed draw.  Misses are batched
-/// through ScheduleSimulator::run_batch (one batch per algorithm); with a
+/// Runs the simulate phase of one cell on a fixed draw: the static replay
+/// of each algorithm's schedule (ScheduleSimulator::run_online with no
+/// policy) under the drawn timeline — crashes, plus the repairs a repair
+/// law drew, so repaired processors resume their parked work.  With a
 /// cache, repeated draws are served from the memo.  The result is
 /// bit-identical with and without a cache.
 [[nodiscard]] SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
@@ -212,9 +215,9 @@ class SimulationCache {
                                                SimulationCache* cache);
 
 /// Runs the *online* simulate phase of one cell on a fixed draw: per
-/// algorithm, builds the failure timeline (crash instants anchored exactly
-/// like the static path; repairs from draw.unit_repair_delays, or never)
-/// and executes ScheduleSimulator::run_online with `policy` reacting to
+/// algorithm, builds the same failure timeline as simulate_drawn_cell
+/// (repairs from draw.unit_repair_delays, or never) and executes
+/// ScheduleSimulator::run_online with `policy` reacting to
 /// every crash/repair event.  Emits "DrawnCrashes" plus, per algorithm,
 /// "<A>-Success", "<A>-DrawnCrash"/"OH-<A>-DrawnCrash" on success, and
 /// "<A>-Moves" — the same graceful-degradation layout as a non-default

@@ -95,6 +95,8 @@ class ShardWriterSink final : public SweepSink {
  public:
   /// `os` and `plan` must outlive the sink; the header is written here.
   ShardWriterSink(std::ostream& os, const SweepPlan& plan);
+  /// The sink keeps a pointer to the plan: a temporary would dangle.
+  ShardWriterSink(std::ostream& os, const SweepPlan&& plan) = delete;
 
   void on_sample(const InstanceCoord& coord,
                  const SeriesSample& sample) override;

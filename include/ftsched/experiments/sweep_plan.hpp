@@ -168,10 +168,10 @@ class SweepPlan {
   /// simulates each member's (scenario, failure, policy) cell off a
   /// snapshot of the shared RNG stream — `none` cells through the static
   /// replay (shared SimulationCache), reactive cells through the online
-  /// simulator.  Returns one sample per member, in order —
-  /// bit-identical to evaluate(coord(k)) for each member, because the
-  /// schedule phase draws nothing from the instance stream.  Throws if the
-  /// indices do not all share one base key.
+  /// simulator with one policy instance per label.  Returns one sample per
+  /// member, in order — bit-identical to evaluate(coord(k)) for each
+  /// member, because the schedule phase draws nothing from the instance
+  /// stream.  Throws if the indices do not all share one base key.
   ///
   /// All members share one SimulationCache, so cells whose (victims,
   /// instants) draws coincide run the event simulation once (cross-cell
@@ -205,6 +205,7 @@ class SweepPlan {
   std::vector<std::string> scenario_labels_;
   std::vector<std::string> failure_labels_;
   std::vector<std::string> policy_labels_;
+  std::vector<bool> policy_noop_;  ///< per policy label: is_noop()
   Rng root_;
   std::vector<std::uint64_t> selected_;  ///< sorted full-grid ids
   std::string shard_label_ = "full";
@@ -261,6 +262,8 @@ class OnlineStatsSink final : public SweepSink {
  public:
   /// `plan` must outlive the sink (labels and series decoration).
   explicit OnlineStatsSink(const SweepPlan& plan);
+  /// The sink keeps a pointer to the plan: a temporary would dangle.
+  explicit OnlineStatsSink(const SweepPlan&& plan) = delete;
 
   void on_sample(const InstanceCoord& coord,
                  const SeriesSample& sample) override;

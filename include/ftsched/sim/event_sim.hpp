@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "ftsched/core/schedule.hpp"
@@ -67,10 +66,16 @@ struct SimulationOptions {
 ///
 /// Construction precomputes everything that depends only on the schedule —
 /// flat replica arrays, CSR channel fan-out lists, the sorted per-processor
-/// execution queues — and each run(failures) resets just the dynamic state,
-/// so simulating the same schedule under many failure scenarios (crash
+/// execution queues — and each run resets just the dynamic state, so
+/// simulating the same schedule under many failure scenarios (crash
 /// counts, sweep cells) skips the per-call rebuild the one-shot simulate()
 /// pays.  run() is bit-identical to simulate() with the same arguments.
+///
+/// Every entry drives one event loop from a list of processor outages: a
+/// FailureScenario is a list of permanent crashes, a FailureTimeline may
+/// add repairs, and a rescheduling policy, when one is live, is consulted
+/// on every crash and repair.  Without a policy the loop replays the static
+/// schedule; a repaired processor resumes the replicas it parked.
 ///
 /// All dynamic state is structure-of-arrays: flat parallel arrays indexed
 /// by a build-once replica numbering (status bytes, in-edge satisfaction
@@ -80,7 +85,7 @@ struct SimulationOptions {
 /// arena-backed binary heap whose storage is retained across runs — steady
 /// state allocates nothing.
 ///
-/// The schedule must outlive the simulator.  run() mutates internal state:
+/// The schedule must outlive the simulator.  Runs mutate internal state:
 /// one simulator must not be run from two threads concurrently (use one
 /// per thread, or one per schedule per worker — they are cheap after the
 /// first run).
@@ -104,37 +109,21 @@ class ScheduleSimulator {
   struct Summary {
     bool success = false;
     double latency = std::numeric_limits<double>::infinity();
-  };
-  [[nodiscard]] Summary run_summary(const FailureScenario& failures = {});
-
-  /// Batch entry of the simulate-many loop: runs every scenario in order,
-  /// writing summaries[i] = run_summary(scenarios[i]).  One call amortises
-  /// the per-call plumbing and keeps the static structure and the dynamic
-  /// arenas hot in cache across all crash simulations of one schedule.
-  /// summaries must have at least scenarios.size() elements.
-  void run_batch(std::span<const FailureScenario> scenarios,
-                 std::span<Summary> summaries);
-
-  /// Outcome of one policy-driven (online) run.
-  struct OnlineSummary {
-    bool success = false;
-    double latency = std::numeric_limits<double>::infinity();
     std::size_t moves = 0;    ///< replica moves applied by the policy
     std::size_t repairs = 0;  ///< repair events applied
   };
+  [[nodiscard]] Summary run_summary(const FailureScenario& failures = {});
 
-  /// The schedule→simulate inversion: executes the schedule under a failure
-  /// *timeline* (crashes with optional repairs) and calls back into
-  /// `policy` on every crash and repair event, applying the moves it emits
-  /// (core/reschedule.hpp).  A null or no-op policy reproduces the static
-  /// semantics exactly — same event ordering, same doubles as run() —
-  /// *when the timeline has no repairs*; repairs restart the processor
-  /// with its remaining queue (pending replicas are parked through the
-  /// outage instead of dying).  The online run keeps its own copy of the
-  /// dynamic placement state, so it interleaves freely with run()/
-  /// run_batch() on the same simulator (not concurrently).
-  [[nodiscard]] OnlineSummary run_online(const FailureTimeline& timeline,
-                                         ReschedulePolicy* policy = nullptr);
+  /// Executes the schedule under a failure *timeline* (crashes with
+  /// optional repairs) and calls back into `policy` on every crash and
+  /// repair event, applying the moves it emits (core/reschedule.hpp).  A
+  /// null or no-op policy is never consulted: the run is the static replay,
+  /// bit-identical to run_summary(timeline.crashes_only()) when the
+  /// timeline has no repairs.  A repair restarts the processor with its
+  /// remaining queue: pending replicas are parked through the outage
+  /// instead of dying.
+  [[nodiscard]] Summary run_online(const FailureTimeline& timeline,
+                                   ReschedulePolicy* policy = nullptr);
 
  private:
   class Impl;

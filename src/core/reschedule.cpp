@@ -188,8 +188,9 @@ class ReactiveFtsaPolicy final : public GreedyPolicyBase {
 
 PolicyRegistry::PolicyRegistry() : SpecRegistry("rescheduling policy") {
   add(Entry{"none",
-            "keep the static schedule: crashed processors never return and "
-            "their unstarted replicas are lost (the paper's replay setup)",
+            "keep the static schedule (the paper's replay setup): a "
+            "permanent crash loses its processor's unstarted replicas, a "
+            "repaired processor resumes them",
             {},
             [](const SpecOptions&) -> ReschedulePolicyPtr {
               return std::make_unique<NonePolicy>();

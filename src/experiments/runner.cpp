@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 #include <memory>
-#include <span>
 
 #include "ftsched/core/reschedule.hpp"
 #include "ftsched/experiments/sweep_plan.hpp"
@@ -16,16 +15,26 @@ namespace ftsched {
 
 namespace {
 
-/// Builds the failure scenario of the first `count` victims of `draw`, each
-/// crashing at its unit time scaled by `anchor` (the schedule's failure-free
-/// lower bound; unit time 0 = the paper's t=0 worst case).
-FailureScenario make_scenario(const CellDraw& draw, double anchor,
+/// The failure timeline of the first `count` victims of `draw`: each
+/// crashes at its unit time scaled by `anchor` (the schedule's failure-free
+/// lower bound; unit time 0 = the paper's t=0 worst case) and, under a
+/// repair law, restarts its unit repair delay later on the same scale.  A
+/// degenerate zero-length outage (a delay that rounds to no time at all at
+/// this anchor) is recorded as never repaired rather than violating the
+/// timeline's repair > crash contract.
+FailureTimeline make_timeline(const CellDraw& draw, double anchor,
                               std::size_t count) {
-  FailureScenario scenario;
+  FailureTimeline timeline;
   for (std::size_t i = 0; i < count; ++i) {
-    scenario.add(ProcId{draw.victims[i]}, draw.unit_times[i] * anchor);
+    const double crash = draw.unit_times[i] * anchor;
+    double repair = std::numeric_limits<double>::infinity();
+    if (i < draw.unit_repair_delays.size()) {
+      const double candidate = crash + draw.unit_repair_delays[i] * anchor;
+      if (candidate > crash) repair = candidate;
+    }
+    timeline.add(ProcId{draw.victims[i]}, crash, repair);
   }
-  return scenario;
+  return timeline;
 }
 
 /// Resolves a registry spec, injecting the instance's epsilon and seed as
@@ -166,7 +175,7 @@ CellDraw draw_instance_cell(const InstanceSchedules& schedules, Rng& rng,
   // pre-existing model keeps its exact draws.  A burst law correlates the
   // crash instants: common onset (the first drawn unit time) plus a
   // uniform per-victim offset.  A repair law appends per-victim restart
-  // delays; the static path ignores them, the online path anchors them.
+  // delays, which make_timeline anchors on every simulate path.
   const std::size_t count = draw.victims.size();
   if (failure_model.is_burst() && count > 0) {
     const double onset = draw.unit_times.front();
@@ -198,14 +207,8 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
     sample["DrawnCrashes"] = static_cast<double>(drawn);
   }
 
-  // Per-algorithm scratch, reused across the loop.
-  std::vector<std::size_t> counts;
+  std::vector<std::size_t> counts;  // per-algorithm scratch
   std::vector<ScheduleSimulator::Summary> summaries;
-  std::vector<SimulationCache::Key> miss_keys;
-  std::vector<std::size_t> miss_slots;
-  std::vector<FailureScenario> miss_scenarios;
-  std::vector<ScheduleSimulator::Summary> miss_summaries;
-
   for (std::size_t ai = 0; ai < schedules.algos.size(); ++ai) {
     const InstanceSchedules::Algo& a = schedules.algos[ai];
     const double anchor = a.schedule->lower_bound();
@@ -230,19 +233,21 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
     const std::size_t simulated = counts.size() - (drawn_dup ? 1 : 0);
 
     summaries.assign(counts.size(), {});
-    miss_keys.clear();
-    miss_slots.clear();
-    miss_scenarios.clear();
     for (std::size_t i = 0; i < simulated; ++i) {
+      SimulationCache::Key key;
       if (cache != nullptr) {
-        SimulationCache::Key key;
+        const std::size_t n = counts[i];
         key.algo = ai;
         key.victims.assign(draw.victims.begin(),
-                           draw.victims.begin() +
-                               static_cast<std::ptrdiff_t>(counts[i]));
-        key.times.reserve(counts[i]);
-        for (std::size_t j = 0; j < counts[i]; ++j) {
+                           draw.victims.begin() + static_cast<std::ptrdiff_t>(n));
+        key.times.reserve(2 * n);  // unit times, then any repair delays
+        for (std::size_t j = 0; j < n; ++j) {
           key.times.push_back(std::bit_cast<std::uint64_t>(draw.unit_times[j]));
+        }
+        for (std::size_t j = 0; j < std::min(n, draw.unit_repair_delays.size());
+             ++j) {
+          key.times.push_back(
+              std::bit_cast<std::uint64_t>(draw.unit_repair_delays[j]));
         }
         if (const auto it = cache->memo_.find(key);
             it != cache->memo_.end()) {
@@ -250,23 +255,13 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
           ++cache->stats_.hits;
           continue;
         }
-        miss_keys.push_back(std::move(key));
       }
-      miss_slots.push_back(i);
-      miss_scenarios.push_back(make_scenario(draw, anchor, counts[i]));
-    }
-
-    if (!miss_scenarios.empty()) {
-      miss_summaries.assign(miss_scenarios.size(), {});
-      a.simulator->run_batch(miss_scenarios, miss_summaries);
-      for (std::size_t j = 0; j < miss_slots.size(); ++j) {
-        summaries[miss_slots[j]] = miss_summaries[j];
-        if (cache != nullptr) {
-          cache->memo_.emplace(std::move(miss_keys[j]), miss_summaries[j]);
-        }
-      }
+      // No policy: the static replay, with the draw's repairs honoured.
+      summaries[i] =
+          a.simulator->run_online(make_timeline(draw, anchor, counts[i]));
       if (cache != nullptr) {
-        cache->stats_.simulations += miss_scenarios.size();
+        cache->memo_.emplace(std::move(key), summaries[i]);
+        ++cache->stats_.simulations;
       }
     }
     if (drawn_dup) {
@@ -318,24 +313,9 @@ SeriesSample simulate_online_cell(const InstanceSchedules& schedules,
 
   for (const InstanceSchedules::Algo& a : schedules.algos) {
     const double anchor = a.schedule->lower_bound();
-    // The timeline anchors exactly like make_scenario — same crash-time
-    // doubles as the static path — plus the repair instants the static
-    // path discards.  A degenerate zero-length outage (repair delay that
-    // rounds to no time at all at this anchor) is recorded as never
-    // repaired rather than violating the timeline's repair > crash
-    // contract.
-    FailureTimeline timeline;
-    for (std::size_t i = 0; i < drawn; ++i) {
-      const double crash = draw.unit_times[i] * anchor;
-      double repair = std::numeric_limits<double>::infinity();
-      if (i < draw.unit_repair_delays.size()) {
-        const double candidate = crash + draw.unit_repair_delays[i] * anchor;
-        if (candidate > crash) repair = candidate;
-      }
-      timeline.add(ProcId{draw.victims[i]}, crash, repair);
-    }
+    const FailureTimeline timeline = make_timeline(draw, anchor, drawn);
     policy.prepare(*a.schedule);
-    const ScheduleSimulator::OnlineSummary result =
+    const ScheduleSimulator::Summary result =
         a.simulator->run_online(timeline, &policy);
     // Past-ε failures are legitimate here just as under a non-default
     // static model: record the success indicator and gate the latency

@@ -43,14 +43,14 @@ SweepPlan::SweepPlan(const FigureConfig& config)
   }
   // The policy dimension: parsed once up front so a bad spec fails at plan
   // construction, not mid-sweep on a worker.  Policies are per-run mutable
-  // (prepare/begin_run state), so the plan stores only the labels and the
-  // evaluate paths instantiate fresh ones.
+  // (prepare/begin_run state), so the plan keeps only the labels and which
+  // of them are no-ops; the evaluate paths instantiate the live ones.
   const std::vector<std::string> policy_specs =
       config.policies.empty() ? std::vector<std::string>{"none"}
                               : config.policies;
   std::set<std::string> seen_policies;
   for (const std::string& pspec : policy_specs) {
-    (void)make_reschedule_policy(pspec);
+    policy_noop_.push_back(make_reschedule_policy(pspec)->is_noop());
     FTSCHED_REQUIRE(seen_policies.insert(pspec).second,
                     "duplicate sweep policy: " + pspec);
   }
@@ -180,9 +180,7 @@ SeriesSample SweepPlan::evaluate(const InstanceCoord& coord) const {
   options.crash_law = c.law;
   options.failure_model = c.model;
   options.seed = rng();
-  const ReschedulePolicyPtr policy =
-      make_reschedule_policy(policy_labels_[coord.policy]);
-  if (policy->is_noop()) {
+  if (policy_noop_[coord.policy]) {
     // `none` IS the legacy path — not a reimplementation of it — so the
     // degenerate policy cell stays byte-identical to the pre-policy sweep
     // by construction (streams, series, event ordering, everything).
@@ -191,6 +189,8 @@ SeriesSample SweepPlan::evaluate(const InstanceCoord& coord) const {
   const InstanceSchedules schedules =
       build_instance_schedules(*workload, options);
   const CellDraw draw = draw_instance_cell(schedules, rng, c.law, c.model);
+  const ReschedulePolicyPtr policy =
+      make_reschedule_policy(policy_labels_[coord.policy]);
   return simulate_online_cell(schedules, draw, *policy);
 }
 
@@ -233,6 +233,9 @@ std::vector<SeriesSample> SweepPlan::evaluate_group(
   // draws — shared k = 0 scenarios, coinciding model draws — run the event
   // simulation once and fan the cached Summary out to every requester.
   SimulationCache sim_cache;
+  // Live policies, built on first use and reused by later members: one call
+  // runs on one thread, so the per-run policy state is never shared.
+  std::vector<ReschedulePolicyPtr> policies(policy_labels_.size());
   std::vector<SeriesSample> out;
   out.reserve(members.size());
   for (const std::size_t k : members) {
@@ -245,14 +248,16 @@ std::vector<SeriesSample> SweepPlan::evaluate_group(
         draw_instance_cell(schedules, cell_rng, cell(c).law, cell(c).model);
     // Policy cells of one (scenario, failure) pair see the *same* draw
     // (the snapshot above plus the policy-independent draw stream), so the
-    // static and reactive samples are paired run for run.  `none` keeps
-    // the exact legacy static replay; online runs bypass the cache (their
+    // static and reactive samples are paired run for run.  `none` is the
+    // static replay through the cache; online runs bypass it (their
     // outcome depends on the policy, not just the draw).
-    const ReschedulePolicyPtr policy =
-        make_reschedule_policy(policy_labels_[c.policy]);
-    out.push_back(policy->is_noop()
-                      ? simulate_drawn_cell(schedules, draw, &sim_cache)
-                      : simulate_online_cell(schedules, draw, *policy));
+    if (policy_noop_[c.policy]) {
+      out.push_back(simulate_drawn_cell(schedules, draw, &sim_cache));
+      continue;
+    }
+    ReschedulePolicyPtr& policy = policies[c.policy];
+    if (!policy) policy = make_reschedule_policy(policy_labels_[c.policy]);
+    out.push_back(simulate_online_cell(schedules, draw, *policy));
   }
   if (stats != nullptr) {
     stats->simulations += sim_cache.stats().simulations;

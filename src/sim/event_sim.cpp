@@ -22,9 +22,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // kRepair sorts after kCrash at equal time: a processor that crashes and
-// restarts at the same instant still loses its running replica.  The static
-// path never pushes repair events, so the order of the first three is
-// untouched.
+// restarts at the same instant still loses its running replica.  A
+// repair-free run never pushes repair events, so the order of the first
+// three is that of the paper's crash-only replay.
 enum class EventType : std::uint8_t {
   kFinish = 0,
   kMessage = 1,
@@ -62,12 +62,11 @@ enum class State : std::uint8_t {
 struct OutChannel {
   std::uint32_t dst;     // flat destination replica
   std::uint32_t slot;    // flat in-slot of the destination (slot arena index)
-  double comm_duration;  // volume * delay (0 for intra-processor)
-  double volume;         // edge volume: the online mode recomputes the
-                         // duration from the *current* processors (the same
-                         // multiplication, so unmoved channels match
-                         // comm_duration bit for bit)
-  bool interproc;
+  double comm_duration;  // volume * delay between the scheduled processors
+  double volume;         // edge volume: once a policy moved a replica, the
+                         // duration is recomputed from the *current*
+                         // processors (the same multiplication, so unmoved
+                         // channels match comm_duration bit for bit)
 };
 
 constexpr std::uint32_t kNoReplica = std::numeric_limits<std::uint32_t>::max();
@@ -77,10 +76,15 @@ constexpr std::uint32_t kNoReplica = std::numeric_limits<std::uint32_t>::max();
 /// The simulator split along the static/dynamic line: everything derived
 /// from the schedule alone is computed once at construction (flat replica
 /// arrays, CSR out-channel and per-processor queues, pristine copies of the
-/// countdown arrays); run() resets only the per-scenario state with
+/// countdown arrays); every run resets only the per-run state with
 /// fill/copy sweeps over flat arrays — structure-of-arrays, no per-node
-/// touches, no allocation in steady state — and replays the event loop on
-/// an arena-backed binary heap whose storage is retained across runs.
+/// touches, no allocation in steady state — and replays the one event loop
+/// on an arena-backed binary heap whose storage is retained across runs.
+///
+/// The loop is the online one: a policy, when present and not a no-op, is
+/// consulted on every crash and repair and may move pending replicas.
+/// Without one, the handlers execute the static schedule — the paper's
+/// replay — and a repaired processor resumes the work it parked.
 class ScheduleSimulator::Impl {
  public:
   Impl(const ReplicatedSchedule& schedule, const SimulationOptions& options)
@@ -103,32 +107,42 @@ class ScheduleSimulator::Impl {
     return summarize();
   }
 
-  void run_batch(std::span<const FailureScenario> scenarios,
-                 std::span<ScheduleSimulator::Summary> summaries) {
-    FTSCHED_REQUIRE(summaries.size() >= scenarios.size(),
-                    "run_batch: summary span shorter than the scenario span");
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      drive(scenarios[i]);
-      summaries[i] = summarize();
-    }
-  }
-
-  ScheduleSimulator::OnlineSummary run_online(const FailureTimeline& timeline,
-                                              ReschedulePolicy* policy) {
-    drive_online(timeline, policy);
-    ScheduleSimulator::OnlineSummary s;
-    const ScheduleSimulator::Summary base = summarize();
-    s.success = base.success;
-    s.latency = base.latency;
-    s.moves = moves_applied_;
-    s.repairs = repairs_applied_;
-    return s;
+  ScheduleSimulator::Summary run_online(const FailureTimeline& timeline,
+                                        ReschedulePolicy* policy) {
+    drive(timeline.outages(), policy);
+    return summarize();
   }
 
  private:
+  /// A scenario is a timeline of permanent crashes, staged in a retained
+  /// scratch list.
   void drive(const FailureScenario& failures) {
+    scenario_outages_.clear();
+    for (const Crash& c : failures.crashes()) {
+      scenario_outages_.push_back(ProcOutage{c.proc, c.time});
+    }
+    drive(scenario_outages_, nullptr);
+  }
+
+  void drive(const std::vector<ProcOutage>& outages,
+             ReschedulePolicy* policy) {
     reset();
-    seed(failures);
+    if (policy != nullptr) policy->begin_run();
+    // A no-op policy is never consulted: no view construction, no moves.
+    policy_ = (policy == nullptr || policy->is_noop()) ? nullptr : policy;
+    const std::size_t m = platform_.proc_count();
+    for (const ProcOutage& o : outages) {
+      FTSCHED_REQUIRE(o.proc.index() < m, "outage names an unknown processor");
+      const auto p = static_cast<std::uint32_t>(o.proc.index());
+      push(Event{o.crash_time, seq_++, p, 0, EventType::kCrash});
+      if (o.repair_time < kInf) {
+        repair_at_[p] = o.repair_time;
+        push(Event{o.repair_time, seq_++, p, 0, EventType::kRepair});
+      }
+    }
+    for (std::size_t p = 0; p < m; ++p) {
+      try_start(p, 0.0);
+    }
     while (!events_.empty()) {
       const Event ev = pop();
       switch (ev.type) {
@@ -142,7 +156,7 @@ class ScheduleSimulator::Impl {
           on_crash(ev.a, ev.time);
           break;
         case EventType::kRepair:
-          FTSCHED_ASSERT(false, "repair event in a static run");
+          on_repair(ev.a, ev.time);
           break;
       }
     }
@@ -220,7 +234,7 @@ class ScheduleSimulator::Impl {
         out_[out_offset_[src] + fill[src]++] =
             OutChannel{static_cast<std::uint32_t>(dst),
                        static_cast<std::uint32_t>(slot), edge.volume * d,
-                       edge.volume, proc_of_[src] != proc_of_[dst]};
+                       edge.volume};
         ++live_sources0_[slot];
       }
     }
@@ -262,13 +276,19 @@ class ScheduleSimulator::Impl {
     unsatisfied_ = unsatisfied0_;
     satisfied_.assign(total_slots, 0);
     live_sources_ = live_sources0_;
+    cur_proc_ = proc_of_;
+    cur_duration_ = duration_;
     head_.assign(m, 0);
     busy_.assign(m, 0);
     crashed_.assign(m, 0);
+    moved_pool_.resize(m);
+    running_.assign(m, kNoReplica);
+    run_finish_.assign(m, 0.0);
+    repair_at_.assign(m, kInf);
     // Worst-case live events: one finish per replica + one message per
-    // channel in flight + the crashes; reserving the replica+channel part
-    // up front makes the heap allocation-free for every scenario whose
-    // crash count fits the slack of the round-up.
+    // channel in flight + the crashes and repairs; reserving the
+    // replica+channel part up front makes the heap allocation-free for
+    // every run whose outage count fits the slack of the round-up.
     events_.reserve(total + out_.size() + 16);
   }
 
@@ -284,27 +304,27 @@ class ScheduleSimulator::Impl {
     std::fill(satisfied_.begin(), satisfied_.end(), std::uint8_t{0});
     std::copy(live_sources0_.begin(), live_sources0_.end(),
               live_sources_.begin());
-    std::fill(head_.begin(), head_.end(), 0u);
+    std::copy(proc_of_.begin(), proc_of_.end(), cur_proc_.begin());
+    std::copy(duration_.begin(), duration_.end(), cur_duration_.begin());
+    std::copy(queue_offset_.begin(), queue_offset_.end() - 1, head_.begin());
     std::fill(busy_.begin(), busy_.end(), std::uint8_t{0});
     std::fill(crashed_.begin(), crashed_.end(), std::uint8_t{0});
+    std::fill(running_.begin(), running_.end(), kNoReplica);
+    std::fill(run_finish_.begin(), run_finish_.end(), 0.0);
+    std::fill(repair_at_.begin(), repair_at_.end(), kInf);
+    // Only moves fill the pools.
+    if (moves_applied_ != 0) {
+      for (auto& pool : moved_pool_) pool.clear();  // storage retained
+    }
     events_.clear();  // storage retained
     seq_ = 0;
     messages_delivered_ = 0;
+    moves_applied_ = 0;
+    repairs_applied_ = 0;
     // Contention-aware models are stateful (they book delivery lanes as
     // messages flow); rewind instead of reallocating.  The contention-free
     // default is stateless and bypassed entirely in on_finish.
     if (!contention_free_) comm_->reset();
-  }
-
-  void seed(const FailureScenario& failures) {
-    for (const Crash& c : failures.crashes()) {
-      push(Event{c.time, seq_++, static_cast<std::uint32_t>(c.proc.index()), 0,
-                 EventType::kCrash});
-    }
-    const std::size_t m = platform_.proc_count();
-    for (std::size_t p = 0; p < m; ++p) {
-      try_start(p, 0.0);
-    }
   }
 
   void push(const Event& ev) {
@@ -321,50 +341,91 @@ class ScheduleSimulator::Impl {
 
   // --- event handlers -------------------------------------------------------
 
+  /// Starts the next replica on an alive, idle `p`.  The in-order queue
+  /// scan is the static rule: skip replicas that moved away or are
+  /// resolved, stop at the first one not yet ready.  Replicas a policy
+  /// moved onto p do NOT join that queue — they sit in a fill-in pool
+  /// consulted when the scan is blocked or exhausted.  Tail-appending them
+  /// instead would make every rescue useless (it runs after the whole
+  /// static queue) and deadlock-prone (a blocked static entry waiting on a
+  /// moved replica parked behind another blocked entry).
   void try_start(std::size_t p, double now) {
     if (crashed_[p] || busy_[p]) return;
     const std::size_t end = queue_offset_[p + 1];
-    std::size_t cursor = queue_offset_[p] + head_[p];
-    for (; cursor < end; ++cursor) {
-      const std::uint32_t flat = queue_[cursor];
+    for (std::size_t& head = head_[p]; head < end; ++head) {
+      const std::uint32_t flat = queue_[head];
+      if (cur_proc_[flat] != p) continue;  // moved away by a policy
       const State s = state_[flat];
-      if (s == State::kCancelled || s == State::kDead) {
-        ++head_[p];  // skip provably-never-ready / lost replicas
+      if (s == State::kCancelled || s == State::kDead ||
+          s == State::kCompleted) {
         continue;
       }
-      if (s != State::kPending || unsatisfied_[flat] > 0) return;  // wait
-      state_[flat] = State::kRunning;
-      busy_[p] = 1;
-      actual_start_[flat] = now;
-      const double finish = now + duration_[flat];
-      push(Event{finish, seq_++, flat, 0, EventType::kFinish});
+      if (s != State::kPending || unsatisfied_[flat] > 0) break;  // blocked
+      start(p, flat, now);
       return;
     }
+    // Fill in with the first ready moved replica, in arrival order (the
+    // policies emit moves highest-priority-first, so arrival order is the
+    // policy's own order).  Entries that moved on or resolved are dropped.
+    auto& pool = moved_pool_[p];
+    if (pool.empty()) return;
+    std::size_t keep = 0;
+    std::uint32_t chosen = kNoReplica;
+    for (const std::uint32_t flat : pool) {
+      if (cur_proc_[flat] != p || state_[flat] != State::kPending) continue;
+      if (chosen == kNoReplica && unsatisfied_[flat] == 0) {
+        chosen = flat;  // leaves the pool by starting
+        continue;
+      }
+      pool[keep++] = flat;
+    }
+    pool.resize(keep);
+    if (chosen != kNoReplica) start(p, chosen, now);
+  }
+
+  void start(std::size_t p, std::uint32_t flat, double now) {
+    state_[flat] = State::kRunning;
+    busy_[p] = 1;
+    running_[p] = flat;
+    actual_start_[flat] = now;
+    const double finish = now + cur_duration_[flat];
+    run_finish_[p] = finish;
+    push(Event{finish, seq_++, flat, 0, EventType::kFinish});
   }
 
   void on_finish(std::uint32_t flat, double now) {
     if (state_[flat] != State::kRunning) return;  // killed by a crash
     state_[flat] = State::kCompleted;
     actual_finish_[flat] = now;
-    const std::size_t p = proc_of_[flat];
+    const std::size_t p = cur_proc_[flat];
     busy_[p] = 0;
-    ++head_[p];
+    running_[p] = kNoReplica;
+    // A queue-scan start is always the head; a fill-in start is not, and
+    // must leave the blocked head alone.
+    if (head_[p] < queue_offset_[p + 1] && queue_[head_[p]] == flat) {
+      ++head_[p];
+    }
     // Emit all outgoing messages (active replication: send unconditionally).
     const std::size_t out_end = out_offset_[flat + 1];
     for (std::size_t i = out_offset_[flat]; i < out_end; ++i) {
       const OutChannel& ch = out_[i];
-      if (ch.interproc) {
-        // Contention-free arrival is ready + duration exactly; skipping the
-        // virtual dispatch changes no double.
-        const double arrival =
-            contention_free_
-                ? now + ch.comm_duration
-                : comm_->deliver(ProcId{proc_of_[flat]}, now, ch.comm_duration);
-        ++messages_delivered_;
-        push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
-      } else {
+      const std::size_t dp = cur_proc_[ch.dst];
+      if (p == dp) {
         push(Event{now, seq_++, ch.dst, ch.slot, EventType::kMessage});
+        continue;
       }
+      // Until a policy moves a replica, every channel joins its scheduled
+      // processors and the precomputed duration is exact.
+      const double d =
+          moves_applied_ == 0
+              ? ch.comm_duration
+              : ch.volume * platform_.delay(ProcId{p}, ProcId{dp});
+      // Contention-free arrival is ready + duration exactly; skipping the
+      // virtual dispatch changes no double.
+      const double arrival =
+          contention_free_ ? now + d : comm_->deliver(ProcId{p}, now, d);
+      ++messages_delivered_;
+      push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
     }
     try_start(p, now);
   }
@@ -375,24 +436,52 @@ class ScheduleSimulator::Impl {
     FTSCHED_ASSERT(unsatisfied_[dst] > 0, "satisfied count underflow");
     --unsatisfied_[dst];
     if (state_[dst] == State::kPending && unsatisfied_[dst] == 0) {
-      try_start(proc_of_[dst], now);
+      try_start(cur_proc_[dst], now);
     }
   }
 
   void on_crash(std::uint32_t p, double now) {
     if (crashed_[p]) return;
     crashed_[p] = 1;
-    // Kill everything on p that has not completed by `now`.  A replica
-    // finishing exactly at the crash instant counts as completed (its
-    // finish event sorts before the crash event at equal time).
-    const std::size_t end = queue_offset_[p + 1];
-    for (std::size_t i = queue_offset_[p] + head_[p]; i < end; ++i) {
-      const std::uint32_t flat = queue_[i];
-      if (state_[flat] == State::kPending || state_[flat] == State::kRunning) {
+    // The running replica dies first (it is the queue head, so this is the
+    // static kill order).  A replica finishing exactly at the crash instant
+    // counts as completed: its finish event sorts before the crash.
+    if (running_[p] != kNoReplica) {
+      const std::uint32_t flat = running_[p];
+      running_[p] = kNoReplica;
+      if (state_[flat] == State::kRunning) {
         mark_lost(flat, State::kDead, now);
       }
     }
     busy_[p] = 0;
+    consult(OnlineEvent::Kind::kCrash, p, now);
+    // With a scheduled repair, the pending replicas still on p are parked
+    // through the outage and resume when the processor returns.  A
+    // permanent crash kills them in queue order, then the fill-in pool in
+    // arrival order.
+    if (repair_at_[p] > now && repair_at_[p] < kInf) return;
+    const std::size_t end = queue_offset_[p + 1];
+    for (std::size_t i = head_[p]; i < end; ++i) {
+      const std::uint32_t flat = queue_[i];
+      if (cur_proc_[flat] == p && state_[flat] == State::kPending) {
+        mark_lost(flat, State::kDead, now);
+      }
+    }
+    for (const std::uint32_t flat : moved_pool_[p]) {
+      if (cur_proc_[flat] == p && state_[flat] == State::kPending) {
+        mark_lost(flat, State::kDead, now);
+      }
+    }
+    moved_pool_[p].clear();
+  }
+
+  void on_repair(std::uint32_t p, double now) {
+    if (!crashed_[p]) return;
+    crashed_[p] = 0;
+    repair_at_[p] = kInf;
+    ++repairs_applied_;
+    consult(OnlineEvent::Kind::kRepair, p, now);
+    try_start(p, now);
   }
 
   /// Marks a replica dead/cancelled and propagates doomed-input
@@ -408,7 +497,7 @@ class ScheduleSimulator::Impl {
       FTSCHED_ASSERT(live_sources_[ch.slot] > 0, "live source count underflow");
       if (--live_sources_[ch.slot] == 0 && !satisfied_[ch.slot] &&
           state_[ch.dst] == State::kPending) {
-        const std::size_t dp = proc_of_[ch.dst];
+        const std::size_t dp = cur_proc_[ch.dst];
         mark_lost(ch.dst, State::kCancelled, now);
         // Skipping the cancelled head may unblock the processor.
         if (!crashed_[dp]) try_start(dp, now);
@@ -416,14 +505,7 @@ class ScheduleSimulator::Impl {
     }
   }
 
-  // --- online (policy-driven) mode ------------------------------------------
-  //
-  // The online run keeps its own copies of the placement-dependent state
-  // (current processor, current duration, per-processor runtime queues) so
-  // the static arrays — and therefore run()/run_batch() — stay untouched.
-  // With a null/no-op policy and a repair-free timeline the handlers below
-  // execute the exact static arithmetic in the exact static order, which is
-  // what the `policy=none` bit-identity property pins down.
+  // --- policy decisions -----------------------------------------------------
 
   /// The OnlineView the policies observe: a window onto the current
   /// (post-move) dynamic state.
@@ -451,20 +533,13 @@ class ScheduleSimulator::Impl {
     void pending_on(
         std::size_t p,
         std::vector<std::pair<TaskId, std::size_t>>& out) const override {
-      const auto& q = impl_.rt_queue_[p];
-      for (std::size_t i = impl_.rt_head_[p]; i < q.size(); ++i) {
-        const std::uint32_t flat = q[i];
-        if (impl_.cur_proc_[flat] != p) continue;  // moved away
-        if (impl_.state_[flat] != State::kPending) continue;
-        const std::uint32_t t = impl_.task_of_[flat];
-        out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
+      const std::size_t end = impl_.queue_offset_[p + 1];
+      for (std::size_t i = impl_.head_[p]; i < end; ++i) {
+        append_if_pending(p, impl_.queue_[i], out);
       }
       // Replicas moved *onto* p live in the fill-in pool, not the queue.
       for (const std::uint32_t flat : impl_.moved_pool_[p]) {
-        if (impl_.cur_proc_[flat] != p) continue;  // moved on again
-        if (impl_.state_[flat] != State::kPending) continue;
-        const std::uint32_t t = impl_.task_of_[flat];
-        out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
+        append_if_pending(p, flat, out);
       }
     }
     [[nodiscard]] bool hosts_live_replica(TaskId t,
@@ -482,232 +557,26 @@ class ScheduleSimulator::Impl {
     }
 
    private:
+    void append_if_pending(
+        std::size_t p, std::uint32_t flat,
+        std::vector<std::pair<TaskId, std::size_t>>& out) const {
+      if (impl_.cur_proc_[flat] != p) return;  // moved away
+      if (impl_.state_[flat] != State::kPending) return;
+      const std::uint32_t t = impl_.task_of_[flat];
+      out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
+    }
+
     const Impl& impl_;
   };
 
-  void drive_online(const FailureTimeline& timeline,
-                    ReschedulePolicy* policy) {
-    reset();
-    reset_online();
-    if (policy != nullptr) policy->begin_run();
-    // A no-op policy is never consulted: the handlers then run the static
-    // code paths verbatim (no view construction, no move application).
-    ReschedulePolicy* active =
-        (policy == nullptr || policy->is_noop()) ? nullptr : policy;
-    const std::size_t m = platform_.proc_count();
-    for (const ProcOutage& o : timeline.outages()) {
-      FTSCHED_REQUIRE(o.proc.index() < m, "timeline names an unknown processor");
-      push(Event{o.crash_time, seq_++,
-                 static_cast<std::uint32_t>(o.proc.index()), 0,
-                 EventType::kCrash});
-      if (o.repair_time < kInf) {
-        repair_at_[o.proc.index()] = o.repair_time;
-        push(Event{o.repair_time, seq_++,
-                   static_cast<std::uint32_t>(o.proc.index()), 0,
-                   EventType::kRepair});
-      }
-    }
-    for (std::size_t p = 0; p < m; ++p) {
-      try_start_online(p, 0.0);
-    }
-    while (!events_.empty()) {
-      const Event ev = pop();
-      switch (ev.type) {
-        case EventType::kFinish:
-          on_finish_online(ev.a, ev.time);
-          break;
-        case EventType::kMessage:
-          on_message_online(ev.a, ev.b, ev.time);
-          break;
-        case EventType::kCrash:
-          on_crash_online(ev.a, ev.time, active);
-          break;
-        case EventType::kRepair:
-          on_repair_online(ev.a, ev.time, active);
-          break;
-      }
-    }
-  }
-
-  void reset_online() {
-    const std::size_t m = platform_.proc_count();
-    cur_proc_.assign(proc_of_.begin(), proc_of_.end());
-    cur_duration_.assign(duration_.begin(), duration_.end());
-    rt_queue_.resize(m);
-    for (std::size_t p = 0; p < m; ++p) {
-      rt_queue_[p].assign(
-          queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p]),
-          queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p + 1]));
-    }
-    rt_head_.assign(m, 0);
-    moved_pool_.resize(m);
-    for (auto& pool : moved_pool_) pool.clear();  // storage retained
-    running_.assign(m, kNoReplica);
-    run_finish_.assign(m, 0.0);
-    repair_at_.assign(m, kInf);
-    moves_applied_ = 0;
-    repairs_applied_ = 0;
-  }
-
-  /// try_start against the *runtime* queue: entries that moved away are
-  /// skipped; otherwise the scan is the static in-order rule verbatim.
-  /// Replicas a policy moved onto p do NOT join that in-order queue — they
-  /// sit in a fill-in pool consulted when the static scan is blocked or
-  /// exhausted.  Tail-appending them instead would make every rescue
-  /// useless (it runs after the whole static queue) and deadlock-prone (a
-  /// blocked static entry waiting on a moved replica parked behind another
-  /// blocked entry).  With no moves the pool is empty and the scan is the
-  /// static rule exactly, which the policy=none bit-identity pins down.
-  void try_start_online(std::size_t p, double now) {
-    if (crashed_[p] || busy_[p]) return;
-    const auto& q = rt_queue_[p];
-    std::size_t& head = rt_head_[p];
-    while (head < q.size()) {
-      const std::uint32_t flat = q[head];
-      if (cur_proc_[flat] != p) {
-        ++head;  // moved to another processor by a policy
-        continue;
-      }
-      const State s = state_[flat];
-      if (s == State::kCancelled || s == State::kDead ||
-          s == State::kCompleted) {
-        ++head;
-        continue;
-      }
-      if (s != State::kPending || unsatisfied_[flat] > 0) break;  // blocked
-      start_online(p, flat, now);
-      return;
-    }
-    // Fill in with the first ready moved replica, in arrival order (the
-    // policies emit moves highest-priority-first, so arrival order is the
-    // policy's own order).  Entries that moved on or resolved are dropped.
-    auto& pool = moved_pool_[p];
-    std::size_t keep = 0;
-    std::uint32_t chosen = kNoReplica;
-    for (const std::uint32_t flat : pool) {
-      if (cur_proc_[flat] != p || state_[flat] != State::kPending) continue;
-      if (chosen == kNoReplica && unsatisfied_[flat] == 0) {
-        chosen = flat;  // leaves the pool by starting
-        continue;
-      }
-      pool[keep++] = flat;
-    }
-    pool.resize(keep);
-    if (chosen != kNoReplica) start_online(p, chosen, now);
-  }
-
-  void start_online(std::size_t p, std::uint32_t flat, double now) {
-    state_[flat] = State::kRunning;
-    busy_[p] = 1;
-    running_[p] = flat;
-    actual_start_[flat] = now;
-    const double finish = now + cur_duration_[flat];
-    run_finish_[p] = finish;
-    push(Event{finish, seq_++, flat, 0, EventType::kFinish});
-  }
-
-  void on_finish_online(std::uint32_t flat, double now) {
-    if (state_[flat] != State::kRunning) return;  // killed by a crash
-    state_[flat] = State::kCompleted;
-    actual_finish_[flat] = now;
-    const std::size_t p = cur_proc_[flat];
-    busy_[p] = 0;
-    running_[p] = kNoReplica;
-    // A queue-scan start is always the head; a pool (fill-in) start is not,
-    // and must leave the blocked static head alone.
-    if (rt_head_[p] < rt_queue_[p].size() && rt_queue_[p][rt_head_[p]] == flat) {
-      ++rt_head_[p];
-    }
-    const std::size_t out_end = out_offset_[flat + 1];
-    for (std::size_t i = out_offset_[flat]; i < out_end; ++i) {
-      const OutChannel& ch = out_[i];
-      const std::size_t dp = cur_proc_[ch.dst];
-      if (p != dp) {
-        // Recomputed from the *current* processors with the static
-        // operands (volume * delay): unmoved channels produce the exact
-        // precomputed comm_duration double.
-        const double d = ch.volume * platform_.delay(ProcId{p}, ProcId{dp});
-        const double arrival = contention_free_
-                                   ? now + d
-                                   : comm_->deliver(ProcId{p}, now, d);
-        ++messages_delivered_;
-        push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
-      } else {
-        push(Event{now, seq_++, ch.dst, ch.slot, EventType::kMessage});
-      }
-    }
-    try_start_online(p, now);
-  }
-
-  void on_message_online(std::uint32_t dst, std::uint32_t slot, double now) {
-    if (satisfied_[slot]) return;  // first input wins; ignore the rest
-    satisfied_[slot] = 1;
-    FTSCHED_ASSERT(unsatisfied_[dst] > 0, "satisfied count underflow");
-    --unsatisfied_[dst];
-    if (state_[dst] == State::kPending && unsatisfied_[dst] == 0) {
-      try_start_online(cur_proc_[dst], now);
-    }
-  }
-
-  void on_crash_online(std::uint32_t p, double now, ReschedulePolicy* policy) {
-    if (crashed_[p]) return;
-    crashed_[p] = 1;
-    // The running replica dies first (it is the queue head, so this is the
-    // static kill order); pending replicas get their fate below, after the
-    // policy had its chance to move them.
-    if (running_[p] != kNoReplica) {
-      const std::uint32_t flat = running_[p];
-      running_[p] = kNoReplica;
-      if (state_[flat] == State::kRunning) {
-        mark_lost_online(flat, State::kDead, now);
-      }
-    }
-    busy_[p] = 0;
-    const bool will_repair = repair_at_[p] > now && repair_at_[p] < kInf;
-    if (policy != nullptr) {
-      moves_scratch_.clear();
-      const ViewAdapter view(*this);
-      policy->on_event(view, OnlineEvent{OnlineEvent::Kind::kCrash, p, now},
-                       moves_scratch_);
-      apply_moves(now);
-    }
-    if (!will_repair) {
-      // Permanent crash: every pending replica still on p dies in queue
-      // order — the static rule — then the fill-in pool in arrival order.
-      // With a scheduled repair they are parked through the outage instead
-      // and resume when the processor returns.
-      const auto& q = rt_queue_[p];
-      for (std::size_t i = rt_head_[p]; i < q.size(); ++i) {
-        const std::uint32_t flat = q[i];
-        if (cur_proc_[flat] != p) continue;
-        if (state_[flat] == State::kPending) {
-          mark_lost_online(flat, State::kDead, now);
-        }
-      }
-      for (const std::uint32_t flat : moved_pool_[p]) {
-        if (cur_proc_[flat] != p) continue;
-        if (state_[flat] == State::kPending) {
-          mark_lost_online(flat, State::kDead, now);
-        }
-      }
-      moved_pool_[p].clear();
-    }
-  }
-
-  void on_repair_online(std::uint32_t p, double now,
-                        ReschedulePolicy* policy) {
-    if (!crashed_[p]) return;
-    crashed_[p] = 0;
-    repair_at_[p] = kInf;
-    ++repairs_applied_;
-    if (policy != nullptr) {
-      moves_scratch_.clear();
-      const ViewAdapter view(*this);
-      policy->on_event(view, OnlineEvent{OnlineEvent::Kind::kRepair, p, now},
-                       moves_scratch_);
-      apply_moves(now);
-    }
-    try_start_online(p, now);
+  /// Hands a crash or repair to the live policy, if any, and applies the
+  /// moves it emits.
+  void consult(OnlineEvent::Kind kind, std::size_t p, double now) {
+    if (policy_ == nullptr) return;
+    moves_scratch_.clear();
+    const ViewAdapter view(*this);
+    policy_->on_event(view, OnlineEvent{kind, p, now}, moves_scratch_);
+    apply_moves(now);
   }
 
   /// Applies the policy's moves in emitted order, then wakes the affected
@@ -739,30 +608,10 @@ class ScheduleSimulator::Impl {
     // unblocked the queue behind it; wake targets in emitted order, then
     // every live processor (deterministic sweep, try_start is idempotent).
     for (const ReplicaMove& mv : moves_scratch_) {
-      if (crashed_[mv.to.index()] == 0) try_start_online(mv.to.index(), now);
+      if (crashed_[mv.to.index()] == 0) try_start(mv.to.index(), now);
     }
     for (std::size_t p = 0; p < crashed_.size(); ++p) {
-      if (crashed_[p] == 0) try_start_online(p, now);
-    }
-  }
-
-  /// mark_lost against the runtime placement: identical cascade, but the
-  /// unblock probe targets the destination's *current* processor.
-  void mark_lost_online(std::uint32_t flat, State lost_state, double now) {
-    FTSCHED_ASSERT(state_[flat] == State::kPending ||
-                       state_[flat] == State::kRunning,
-                   "losing a replica twice");
-    state_[flat] = lost_state;
-    const std::size_t out_end = out_offset_[flat + 1];
-    for (std::size_t i = out_offset_[flat]; i < out_end; ++i) {
-      const OutChannel& ch = out_[i];
-      FTSCHED_ASSERT(live_sources_[ch.slot] > 0, "live source count underflow");
-      if (--live_sources_[ch.slot] == 0 && !satisfied_[ch.slot] &&
-          state_[ch.dst] == State::kPending) {
-        const std::size_t dp = cur_proc_[ch.dst];
-        mark_lost_online(ch.dst, State::kCancelled, now);
-        if (!crashed_[dp]) try_start_online(dp, now);
-      }
+      if (crashed_[p] == 0) try_start(p, now);
     }
   }
 
@@ -772,6 +621,8 @@ class ScheduleSimulator::Impl {
   /// latency fold of collect() without materialising per-replica outcomes.
   ScheduleSimulator::Summary summarize() const {
     ScheduleSimulator::Summary s;
+    s.moves = moves_applied_;
+    s.repairs = repairs_applied_;
     s.success = true;
     double latency = 0.0;
     for (const auto& [begin, end] : exit_ranges_) {
@@ -850,6 +701,7 @@ class ScheduleSimulator::Impl {
   // Static (built once from the schedule).
   std::vector<std::size_t> offset_;       ///< task -> flat replica range
   std::vector<std::uint32_t> proc_of_;    ///< flat replica -> processor
+  std::vector<std::uint32_t> task_of_;    ///< flat replica -> task index
   std::vector<double> duration_;
   std::vector<double> sched_start_;
   std::vector<std::size_t> out_offset_;   ///< flat replica -> out_ CSR range
@@ -861,36 +713,32 @@ class ScheduleSimulator::Impl {
   std::vector<std::uint32_t> queue_;
   std::vector<std::pair<std::size_t, std::size_t>> exit_ranges_;
 
-  // Dynamic (overwritten by reset(); all flat, nothing nested).
+  // Dynamic (overwritten by reset(); flat except the fill-in pools).
   std::vector<State> state_;
   std::vector<double> actual_start_;
   std::vector<double> actual_finish_;
   std::vector<std::uint32_t> unsatisfied_;   ///< copied from unsatisfied0_
   std::vector<std::uint8_t> satisfied_;      ///< slot arena, zero-filled
   std::vector<std::uint32_t> live_sources_;  ///< copied from live_sources0_
-  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> cur_proc_;      ///< copied from proc_of_
+  std::vector<double> cur_duration_;         ///< copied from duration_
+  std::vector<std::size_t> head_;  ///< per proc: queue_ cursor of the scan
   std::vector<std::uint8_t> busy_;
   std::vector<std::uint8_t> crashed_;
-  std::vector<Event> events_;  ///< binary min-heap, storage retained
-  std::uint32_t seq_ = 0;
-  std::size_t messages_delivered_ = 0;
-
-  // Online-mode state (only touched by drive_online; static runs never
-  // read these).  task_of_ is static, built alongside the flat numbering.
-  std::vector<std::uint32_t> task_of_;  ///< flat replica -> task index
-  std::vector<std::uint32_t> cur_proc_;
-  std::vector<double> cur_duration_;
-  std::vector<std::vector<std::uint32_t>> rt_queue_;  ///< runtime queues
-  std::vector<std::size_t> rt_head_;
   /// Per proc: replicas a policy moved here, in arrival order.  Fill-in
   /// work for when the in-order queue scan is blocked or exhausted.
   std::vector<std::vector<std::uint32_t>> moved_pool_;
   std::vector<std::uint32_t> running_;  ///< per proc: running flat replica
   std::vector<double> run_finish_;      ///< per proc: running finish time
   std::vector<double> repair_at_;       ///< per proc: scheduled repair time
-  std::vector<ReplicaMove> moves_scratch_;
+  std::vector<Event> events_;  ///< binary min-heap, storage retained
+  std::uint32_t seq_ = 0;
+  std::size_t messages_delivered_ = 0;
   std::size_t moves_applied_ = 0;
   std::size_t repairs_applied_ = 0;
+  ReschedulePolicy* policy_ = nullptr;  ///< live policy of the current run
+  std::vector<ReplicaMove> moves_scratch_;
+  std::vector<ProcOutage> scenario_outages_;  ///< run()/run_summary() input
 };
 
 ScheduleSimulator::ScheduleSimulator(const ReplicatedSchedule& schedule,
@@ -911,12 +759,7 @@ ScheduleSimulator::Summary ScheduleSimulator::run_summary(
   return impl_->run_summary(failures);
 }
 
-void ScheduleSimulator::run_batch(std::span<const FailureScenario> scenarios,
-                                  std::span<Summary> summaries) {
-  impl_->run_batch(scenarios, summaries);
-}
-
-ScheduleSimulator::OnlineSummary ScheduleSimulator::run_online(
+ScheduleSimulator::Summary ScheduleSimulator::run_online(
     const FailureTimeline& timeline, ReschedulePolicy* policy) {
   return impl_->run_online(timeline, policy);
 }

@@ -1,9 +1,10 @@
-// Batch/SoA simulation engine equivalence (PR 6 tentpole): the reusable
-// ScheduleSimulator — run(), run_summary(), run_batch() — must be bit-exact
-// with a fresh one-shot simulate() for every scenario, in every order, on
-// every comm model; and the cross-cell draw dedupe (SimulationCache /
-// simulate_drawn_cell) must fan cached Summaries out without changing a
-// single double, including graceful-degradation cells whose draws exceed ε.
+// Build-once/SoA simulation engine equivalence (PR 6 tentpole): the
+// reusable ScheduleSimulator — run(), run_summary(), run_online() — must be
+// bit-exact with a fresh one-shot simulate() for every scenario, in every
+// order, on every comm model; and the cross-cell draw dedupe
+// (SimulationCache / simulate_drawn_cell) must fan cached Summaries out
+// without changing a single double, including graceful-degradation cells
+// whose draws exceed ε and repair-law cells whose repairs change outcomes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -59,9 +60,28 @@ void expect_same(const ScheduleSimulator::Summary& got,
   }
 }
 
-TEST(BatchSim, RunBatchMatchesFreshSimulatePerScenario) {
+/// Every entry of a reused simulator on one crash-only scenario: the
+/// summary, the full result and the policy-free timeline run.
+void expect_every_entry_same(ScheduleSimulator& sim,
+                             const FailureScenario& scenario,
+                             const SimulationResult& want) {
+  expect_same(sim.run_summary(scenario), want);
+  const SimulationResult rerun = sim.run(scenario);
+  EXPECT_EQ(rerun.success, want.success);
+  EXPECT_EQ(rerun.completed_replicas, want.completed_replicas);
+  EXPECT_EQ(rerun.dead_replicas, want.dead_replicas);
+  EXPECT_EQ(rerun.cancelled_replicas, want.cancelled_replicas);
+  EXPECT_EQ(rerun.messages_delivered, want.messages_delivered);
+  const ScheduleSimulator::Summary online =
+      sim.run_online(FailureTimeline::from_scenario(scenario));
+  expect_same(online, want);
+  EXPECT_EQ(online.moves, 0u);
+  EXPECT_EQ(online.repairs, 0u);
+}
+
+TEST(BatchSim, ReusedSimulatorMatchesFreshSimulatePerScenario) {
   proptest::check(
-      "run_batch / run_summary / run == fresh simulate(), bit for bit",
+      "run_summary / run / run_online == fresh simulate(), bit for bit",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 4 + below(rng, 4);
         const auto w = random_workload(rng, procs, 12 + below(rng, 20));
@@ -80,33 +100,24 @@ TEST(BatchSim, RunBatchMatchesFreshSimulatePerScenario) {
           fresh.push_back(simulate(s, scenario));
         }
 
-        // One reused simulator, batch call.
+        // One reused simulator, in order and then in *reverse* order:
+        // results must not depend on what ran before (the reset contract).
         ScheduleSimulator sim(s);
-        std::vector<ScheduleSimulator::Summary> batch(scenarios.size());
-        sim.run_batch(scenarios, batch);
         for (std::size_t i = 0; i < scenarios.size(); ++i) {
-          expect_same(batch[i], fresh[i]);
+          expect_every_entry_same(sim, scenarios[i], fresh[i]);
         }
-
-        // Same engine again, per-call and in *reverse* order: results must
-        // not depend on what ran before (the reset contract).
         for (std::size_t i = scenarios.size(); i-- > 0;) {
-          expect_same(sim.run_summary(scenarios[i]), fresh[i]);
-          const SimulationResult rerun = sim.run(scenarios[i]);
-          EXPECT_EQ(rerun.success, fresh[i].success);
-          EXPECT_EQ(rerun.completed_replicas, fresh[i].completed_replicas);
-          EXPECT_EQ(rerun.dead_replicas, fresh[i].dead_replicas);
-          EXPECT_EQ(rerun.cancelled_replicas, fresh[i].cancelled_replicas);
+          expect_every_entry_same(sim, scenarios[i], fresh[i]);
         }
       },
       {.iterations = 10});
 }
 
-TEST(BatchSim, RunBatchMatchesFreshSimulateUnderPortedComm) {
+TEST(BatchSim, ReusedSimulatorMatchesFreshSimulateUnderPortedComm) {
   // The ported comm model carries per-run heap state; its reset() must make
   // a reused simulator indistinguishable from a fresh one.
   proptest::check(
-      "run_batch == fresh simulate() under the one-port model",
+      "reused simulator == fresh simulate() under the one-port model",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 4 + below(rng, 3);
         const auto w = random_workload(rng, procs, 12 + below(rng, 12));
@@ -119,10 +130,9 @@ TEST(BatchSim, RunBatchMatchesFreshSimulateUnderPortedComm) {
           scenarios.push_back(random_scenario(rng, procs, s.lower_bound()));
         }
         ScheduleSimulator sim(s, options);
-        std::vector<ScheduleSimulator::Summary> batch(scenarios.size());
-        sim.run_batch(scenarios, batch);
-        for (std::size_t i = 0; i < scenarios.size(); ++i) {
-          expect_same(batch[i], simulate(s, scenarios[i], options));
+        for (const FailureScenario& scenario : scenarios) {
+          expect_every_entry_same(sim, scenario,
+                                  simulate(s, scenario, options));
         }
       },
       {.iterations = 8});
@@ -147,8 +157,12 @@ TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {
             CrashTimeLaw::parse("t0"), CrashTimeLaw::parse("uniform:hi=1")};
         // bernoulli:p=0.7 draws more than ε victims often, exercising the
         // >ε degradation path (success indicator, possibly failed runs).
+        // repair:p=0.7 draws the very same victims and instants, then
+        // repair delays: a cache key blind to those would serve it the
+        // crash-only summaries.
         const std::vector<FailureModel> models = {
             FailureModel::parse("eps"), FailureModel::parse("bernoulli:p=0.7"),
+            FailureModel::parse("repair:p=0.7,mttr=0.5"),
             FailureModel::parse("fixed:k=" + std::to_string(options.epsilon))};
 
         SimulationCache cache;
@@ -166,7 +180,7 @@ TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {
           }
         }
         // eps and fixed:k=ε consume identical draws per law, and the shared
-        // k = 0 scenario repeats across all six cells: the cache must have
+        // k = 0 scenario repeats across all eight cells: the cache must have
         // fanned out at least those.
         EXPECT_GT(cache.stats().hits, 0u);
         EXPECT_GT(cache.stats().simulations, 0u);

@@ -243,8 +243,9 @@ TEST(FailureSweep, ShardMergeIsBitIdenticalWithFailureCells) {
     std::vector<ShardFile> shards;
     for (std::size_t i = 0; i < n; ++i) {
       std::stringstream file;
-      ShardWriterSink sink(file, plan.shard(i, n));
-      run_plan(plan.shard(i, n), sink);
+      const SweepPlan shard = plan.shard(i, n);
+      ShardWriterSink sink(file, shard);
+      run_plan(shard, sink);
       shards.push_back(read_shard(file, "shard" + std::to_string(i)));
       EXPECT_EQ(shards.back().header.failures, config.failure_models);
     }
@@ -262,8 +263,9 @@ TEST(FailureSweep, MergeRejectsFailureModelDrift) {
   auto shard_of = [](const FigureConfig& config, std::size_t i) {
     const SweepPlan plan(config);
     std::stringstream file;
-    ShardWriterSink sink(file, plan.shard(i, 2));
-    run_plan(plan.shard(i, 2), sink);
+    const SweepPlan shard = plan.shard(i, 2);
+    ShardWriterSink sink(file, shard);
+    run_plan(shard, sink);
     return read_shard(file, "s" + std::to_string(i));
   };
   const std::vector<ShardFile> shards{shard_of(base, 0), shard_of(drifted, 1)};

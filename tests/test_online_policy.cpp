@@ -1,6 +1,8 @@
 // Online rescheduling (PR 9 tentpole): the schedule→simulate inversion must
 // be a strict generalisation of the static path.  `policy=none` (or a null
-// policy) over a repair-free timeline is bit-exact with run_summary(); an
+// policy) over a repair-free timeline is bit-exact with run_summary(); with
+// repairs, the sweep's static replay is exactly the `none` timeline run and
+// ≤ ε repaired outages never fail; an
 // empty timeline makes *every* registered policy reproduce the static run;
 // the policy sweep axis is deterministic across thread counts and the
 // grouped/ungrouped paths; the shard protocol round-trips the new policy
@@ -16,9 +18,11 @@
 #include <vector>
 
 #include "ftsched/core/ftsa.hpp"
+#include "ftsched/core/mc_ftsa.hpp"
 #include "ftsched/core/reschedule.hpp"
 #include "ftsched/experiments/sweep_io.hpp"
 #include "ftsched/experiments/sweep_plan.hpp"
+#include "ftsched/metrics/metrics.hpp"
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/util/error.hpp"
@@ -54,7 +58,7 @@ FailureScenario random_scenario(Rng& rng, std::size_t procs, double anchor) {
   return scenario;
 }
 
-void expect_same(const ScheduleSimulator::OnlineSummary& got,
+void expect_same(const ScheduleSimulator::Summary& got,
                  const ScheduleSimulator::Summary& want) {
   EXPECT_EQ(got.success, want.success);
   if (std::isinf(want.latency)) {
@@ -123,6 +127,96 @@ TEST(OnlinePolicy, EmptyTimelineMatchesStaticForEveryRegisteredPolicy) {
         }
       },
       {.iterations = 6});
+}
+
+TEST(OnlinePolicy, DrawnCellStaticReplayIsTheNoneTimelineRun) {
+  // `none` means one thing on every path: simulate_drawn_cell (the sweep's
+  // static replay) reports exactly what run_online(timeline, none) gives
+  // for the same draw — repairs included.
+  std::size_t repair_mattered = 0;
+  proptest::check(
+      "simulate_drawn_cell <A>-Success == run_online(repair timeline, none)",
+      [&repair_mattered](Rng& rng, std::uint64_t) {
+        const std::size_t procs = 5 + below(rng, 3);
+        const auto w = random_workload(rng, procs, 12 + below(rng, 16));
+        InstanceOptions options;
+        options.epsilon = 1 + below(rng, 2);
+        options.seed = rng();
+        const InstanceSchedules schedules =
+            build_instance_schedules(*w, options);
+        const CellDraw draw = draw_instance_cell(
+            schedules, rng, CrashTimeLaw::parse("uniform:hi=1"),
+            FailureModel::parse("repair:p=0.6,mttr=0.5"));
+        const SeriesSample sample =
+            simulate_drawn_cell(schedules, draw, nullptr);
+        const ReschedulePolicyPtr none = make_reschedule_policy("none");
+
+        for (const InstanceSchedules::Algo& a : schedules.algos) {
+          const double anchor = a.schedule->lower_bound();
+          FailureTimeline timeline;
+          for (std::size_t i = 0; i < draw.victims.size(); ++i) {
+            const double crash = draw.unit_times[i] * anchor;
+            const double repair = crash + draw.unit_repair_delays[i] * anchor;
+            timeline.add(ProcId{draw.victims[i]}, crash,
+                         repair > crash
+                             ? repair
+                             : std::numeric_limits<double>::infinity());
+          }
+          const ScheduleSimulator::Summary got =
+              a.simulator->run_online(timeline, none.get());
+          EXPECT_EQ(sample.at(a.success_series), got.success ? 1.0 : 0.0)
+              << a.algo.key;
+          if (got.success) {
+            EXPECT_EQ(sample.at(a.drawn_series),
+                      normalized_latency(got.latency, w->costs()))
+                << a.algo.key;
+          }
+          EXPECT_EQ(got.moves, 0u);
+          const ScheduleSimulator::Summary crashes_only =
+              a.simulator->run_summary(timeline.crashes_only());
+          if (crashes_only.success != got.success ||
+              crashes_only.latency != got.latency) {
+            ++repair_mattered;
+          }
+        }
+      },
+      {.iterations = 12});
+  // Otherwise the property could pass with repairs silently dropped.
+  EXPECT_GT(repair_mattered, 0u);
+}
+
+TEST(OnlinePolicy, AtMostEpsilonRepairedOutagesNeverFail) {
+  // Theorem 4.1 with restarts: ≤ ε processors crash at any time and come
+  // back after any delay; parking their pending replicas must not cost the
+  // run its guarantee.  (Past ε, parking can lose a run a permanent crash
+  // would have survived, so no such property holds there.)
+  proptest::check(
+      "<= eps repaired outages: ftsa and mc-ftsa static replays succeed",
+      [](Rng& rng, std::uint64_t) {
+        const std::size_t procs = 4 + below(rng, 5);
+        const auto w = random_workload(rng, procs, 10 + below(rng, 20));
+        const std::size_t eps = 1 + below(rng, 2);
+        const std::vector<ReplicatedSchedule> schedules = {
+            ftsa_schedule(w->costs(), FtsaOptions{eps, 0}),
+            mc_ftsa_schedule(w->costs(), McFtsaOptions{eps, 0})};
+        for (const ReplicatedSchedule& s : schedules) {
+          ScheduleSimulator sim(s);
+          const double anchor = s.lower_bound();
+          for (std::size_t run = 0; run < 6; ++run) {
+            FailureTimeline timeline;
+            for (const std::size_t v :
+                 rng.sample_without_replacement(procs, 1 + below(rng, eps))) {
+              const double crash = rng.uniform(0.0, 1.2) * anchor;
+              timeline.add(ProcId{v}, crash,
+                           crash + rng.uniform(0.05, 1.0) * anchor);
+            }
+            const ScheduleSimulator::Summary got =
+                sim.run_online(timeline, nullptr);
+            EXPECT_TRUE(got.success) << "eps=" << eps;
+          }
+        }
+      },
+      {.iterations = 40});
 }
 
 /// 2 workloads x 2 scenarios x 2 failure models x 3 policies x 2
