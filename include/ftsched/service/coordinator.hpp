@@ -7,17 +7,23 @@
 // Fault tolerance (dogfooding the paper's philosophy on our own infra):
 //   * a worker that disconnects or goes silent past the timeout loses its
 //     leases; their unfinished coordinates are re-queued for other workers;
-//   * an idle worker with nothing queued *steals* work by splitting the
-//     unfinished half of the most-laden active lease, so one straggler
-//     cannot stall the sweep's tail;
+//   * an idle worker with nothing queued *steals* work from the most-laden
+//     active lease: its trailing whole groups, up to half its unfinished
+//     coordinates, so one straggler cannot stall the sweep's tail;
 //   * duplicate results (the victim of a steal finishing anyway, or an
 //     expired worker resurfacing) are resolved first-arrival — safe, since
 //     every correct worker produces bit-identical samples;
 //   * a worker whose rebuilt plan fingerprint differs is rejected before
 //     it can lease anything, so a drifted binary never contributes.
 //
+// Leases are group-aligned: with `group` on, a lease is a run of whole
+// schedule-reuse groups (SweepPlan::group_selection), so a worker runs each
+// (workload, granularity, rep) group's schedule phase once, not once per
+// cell.
+//
 // Resumability: with a manifest directory configured, the coordinator
-// journals each completed fixed slice of the selection as an ordinary
+// journals each completed fixed group-aligned chunk of the selection (the
+// chunks a fresh run leases) as an ordinary
 // shard-protocol JSONL file under a (fingerprint, shard)-keyed
 // subdirectory, written atomically (tmp + rename).  A restarted
 // coordinator loads the manifest, delivers the resumed prefix, and leases
@@ -47,15 +53,20 @@ namespace ftsched {
 struct CoordinatorOptions {
   /// Listening port on 127.0.0.1 (0 = kernel-chosen; see port()).
   std::uint16_t port = 0;
-  /// Coordinates per lease (0 = auto: selection/32, clamped to [1, 64]).
-  /// Also the manifest journaling unit.
+  /// Minimum coordinates per lease (0 = auto: selection/32, clamped to
+  /// [1, 64]).  A lease takes whole groups and closes at the first group
+  /// boundary once it holds this many, so it can be up to one group
+  /// larger.  The same group-aligned chunks are the manifest journaling
+  /// units.
   std::size_t lease = 0;
   /// Seconds of silence (no sample/done/heartbeat) before an active lease
   /// expires and its unfinished coordinates are re-queued.
   double timeout = 30.0;
   /// Manifest root for resumable sweeps ("" = no journaling, no resume).
   std::string manifest_dir;
-  /// Workers evaluate leases via the grouped schedule-once path.
+  /// Workers evaluate leases via the grouped schedule-once path, and
+  /// leases are group-aligned (false: contiguous runs of selected indices,
+  /// evaluated per coordinate).
   bool group = true;
 };
 

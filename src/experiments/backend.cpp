@@ -535,7 +535,9 @@ SweepBackendRegistry build_registry() {
       "stealing and (with manifest=) resumable sweeps",
       {{"port", "0", "listening port on 127.0.0.1 (0 = kernel-chosen)"},
        {"workers", "0", "local worker processes (0 = hardware concurrency)"},
-       {"lease", "0", "coordinates per lease (0 = auto: selection/32)"},
+       {"lease", "0",
+        "minimum coordinates per lease, rounded up to whole schedule-reuse "
+        "groups (0 = auto: selection/32, clamped to [1, 64])"},
        {"timeout", "30",
         "seconds of worker silence before a lease expires and re-queues"},
        {"manifest", "",

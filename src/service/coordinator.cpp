@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <poll.h>
+#include <unordered_map>
 
 #include "ftsched/experiments/backend.hpp"
 #include "ftsched/experiments/sweep_io.hpp"
@@ -78,9 +79,16 @@ struct Coordinator::Impl {
 
   struct Lease {
     std::uint64_t conn = 0;       ///< owning connection id
-    std::vector<std::size_t> ks;  ///< selected indices (shrinks on steal)
+    std::vector<std::size_t> ks;  ///< selected indices in group order
+                                  ///< (shrinks on steal)
     Clock::time_point last_activity;
   };
+
+  /// A completed sample waiting for delivery and/or journaling, packed as
+  /// (interned series id, value) pairs in the SeriesSample's key order.
+  /// Grouped leases finish coordinates far ahead of the id order, so most
+  /// samples wait; a map per sample would cost several times the memory.
+  using PackedSample = std::vector<std::pair<std::uint32_t, double>>;
 
   const SweepPlan& plan;
   SweepSink& sink;
@@ -100,15 +108,26 @@ struct Coordinator::Impl {
   std::uint64_t next_lease = 1;
   std::vector<std::uint64_t> waiting;  ///< parked lease requests, in order
 
+  // Schedule-reuse groups (plan.group_selection(), or one group per
+  // coordinate when group=false) laid end to end: `order` lists every
+  // selected index group by group, and group_of[k] is k's group number.
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> group_of;
+
   std::vector<char> complete;
-  std::vector<SeriesSample> samples;
+  std::vector<PackedSample> samples;
+  std::vector<std::string> series_names;  ///< interned series, by id
+  std::unordered_map<std::string, std::uint32_t> series_ids;
   std::size_t completed_count = 0;
-  std::deque<std::size_t> pending;
+  std::deque<std::size_t> pending;  ///< group order; requeues at the back
   std::size_t next_deliver = 0;
 
-  // Fixed journaling partition: unit u covers selected indices
-  // [u*lease_size, min(n, (u+1)*lease_size)).
+  // Fixed journaling partition, the same chunks a fresh run leases: unit u
+  // covers order[unit_start[u], unit_start[u+1]) — whole groups, closed at
+  // the first group boundary once it holds at least lease_size indices.
   std::string manifest;  ///< resolved subdir; empty = journaling off
+  std::vector<std::size_t> unit_start;
+  std::vector<std::size_t> unit_of;
   std::vector<std::size_t> unit_left;
   std::vector<char> unit_written;
 
@@ -130,20 +149,43 @@ struct Coordinator::Impl {
     fingerprint = plan.fingerprint();
     sweep_args = sweep_cli_args(plan.config());
 
-    complete.assign(n, 0);
-    samples.assign(n, SeriesSample{});
-    const std::size_t units = n == 0 ? 0 : (n - 1) / lease_size + 1;
+    std::vector<std::vector<std::size_t>> groups;
+    if (opts.group) {
+      groups = plan.group_selection();
+    } else {
+      groups.reserve(n);
+      for (std::size_t k = 0; k < n; ++k) groups.push_back({k});
+    }
+    order.reserve(n);
+    group_of.assign(n, 0);
+    unit_of.assign(n, 0);
+    unit_start.push_back(0);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (const std::size_t k : groups[g]) {
+        group_of[k] = g;
+        unit_of[k] = unit_start.size() - 1;
+        order.push_back(k);
+      }
+      if (order.size() - unit_start.back() >= lease_size) {
+        unit_start.push_back(order.size());
+      }
+    }
+    if (unit_start.back() != n) unit_start.push_back(n);
+    const std::size_t units = unit_start.size() - 1;
     unit_left.assign(units, 0);
     for (std::size_t u = 0; u < units; ++u) {
-      unit_left[u] = std::min(n, (u + 1) * lease_size) - u * lease_size;
+      unit_left[u] = unit_start[u + 1] - unit_start[u];
     }
     unit_written.assign(units, 0);
+
+    complete.assign(n, 0);
+    samples.resize(n);
 
     if (!opts.manifest_dir.empty()) {
       manifest = manifest_subdir(opts.manifest_dir, plan);
       load_manifest();
     }
-    for (std::size_t k = 0; k < n; ++k) {
+    for (const std::size_t k : order) {
       if (!complete[k]) pending.push_back(k);
     }
     deliver_and_journal();
@@ -219,33 +261,58 @@ struct Coordinator::Impl {
       const auto it = std::lower_bound(ids.begin(), ids.end(), id);
       const std::size_t k = static_cast<std::size_t>(it - ids.begin());
       if (complete[k]) continue;  // first file wins; values are identical
-      mark_complete(k, std::move(sample));
+      mark_complete(k, sample);
       ++counters.coords_resumed;
     }
   }
 
   void write_unit(std::size_t u) {
-    const std::size_t begin = u * lease_size;
-    const std::size_t end = std::min(n, begin + lease_size);
+    const std::size_t begin = unit_start[u];
+    const std::size_t end = unit_start[u + 1];
     std::string text = render_shard_header(plan);
-    for (std::size_t k = begin; k < end; ++k) {
-      append_sample_records(text, plan, plan.coord(k), samples[k]);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t k = order[i];
+      append_sample_records(text, plan, plan.coord(k), unpack(samples[k]));
     }
-    const std::string name =
-        "unit_" + std::to_string(begin) + "_" + std::to_string(end) + ".jsonl";
+    // The name is the unit's span of `order`; the "g" keeps grouped and
+    // per-coordinate partitions of one manifest from overwriting each
+    // other.  Loading ignores names, so any partition resumes any other.
+    const std::string name = "unit_" + std::string(opts.group ? "g" : "") +
+                             std::to_string(begin) + "_" +
+                             std::to_string(end) + ".jsonl";
     write_file_atomic(std::filesystem::path(manifest) / name, text);
     unit_written[u] = 1;
     ++counters.manifest_units_written;
-    for (std::size_t k = begin; k < end; ++k) maybe_release(k);
+    for (std::size_t i = begin; i < end; ++i) maybe_release(order[i]);
   }
 
   // ------------------------------------------------------- sample storage
 
-  void mark_complete(std::size_t k, SeriesSample sample) {
+  [[nodiscard]] PackedSample pack(const SeriesSample& sample) {
+    PackedSample packed;
+    packed.reserve(sample.size());
+    for (const auto& [series, value] : sample) {
+      const auto [it, fresh] = series_ids.try_emplace(
+          series, static_cast<std::uint32_t>(series_names.size()));
+      if (fresh) series_names.push_back(series);
+      packed.emplace_back(it->second, value);
+    }
+    return packed;
+  }
+
+  [[nodiscard]] SeriesSample unpack(const PackedSample& packed) const {
+    SeriesSample sample;
+    for (const auto& [id, value] : packed) {
+      sample.emplace_hint(sample.end(), series_names[id], value);
+    }
+    return sample;
+  }
+
+  void mark_complete(std::size_t k, const SeriesSample& sample) {
     complete[k] = 1;
-    samples[k] = std::move(sample);
+    samples[k] = pack(sample);
     ++completed_count;
-    const std::size_t u = k / lease_size;
+    const std::size_t u = unit_of[k];
     if (--unit_left[u] == 0 && !manifest.empty() && !unit_written[u]) {
       write_unit(u);
     }
@@ -255,14 +322,14 @@ struct Coordinator::Impl {
   /// delivered to the sink AND journaled (or journaling is off).
   void maybe_release(std::size_t k) {
     if (k >= next_deliver) return;
-    if (!manifest.empty() && !unit_written[k / lease_size]) return;
-    samples[k] = SeriesSample{};
+    if (!manifest.empty() && !unit_written[unit_of[k]]) return;
+    samples[k] = PackedSample{};
   }
 
   void deliver_and_journal() {
     while (next_deliver < n && complete[next_deliver]) {
       const std::size_t k = next_deliver;
-      sink.on_sample(plan.coord(k), samples[k]);
+      sink.on_sample(plan.coord(k), unpack(samples[k]));
       ++next_deliver;
       maybe_release(k);
     }
@@ -390,7 +457,7 @@ struct Coordinator::Impl {
       ++counters.duplicate_samples;
       return;
     }
-    mark_complete(k, std::move(sample));
+    mark_complete(k, sample);
   }
 
   void touch_leases_of(std::uint64_t conn_id) {
@@ -449,10 +516,16 @@ struct Coordinator::Impl {
     conns.erase(it);
   }
 
+  /// The next lease from the queue: whole groups, closed at the first group
+  /// boundary once it holds at least lease_size coordinates, so a worker
+  /// runs each group's schedule phase once.
   [[nodiscard]] std::vector<std::size_t> take_pending() {
     std::vector<std::size_t> ks;
-    while (ks.size() < lease_size && !pending.empty()) {
+    while (!pending.empty()) {
       const std::size_t k = pending.front();
+      if (ks.size() >= lease_size && group_of[k] != group_of[ks.back()]) {
+        break;
+      }
       pending.pop_front();
       // A queued coordinate can complete in the meantime (duplicate result
       // from an expired-but-alive worker); leasing it again would be waste.
@@ -461,9 +534,12 @@ struct Coordinator::Impl {
     return ks;
   }
 
-  /// Splits the most-laden active lease, taking the back half of its
-  /// unfinished coordinates for an idle worker.  Returns empty when no
-  /// lease has at least two unfinished coordinates to share.
+  /// Splits the most-laden active lease for an idle worker: the thief
+  /// takes its trailing whole groups, as many as fit in half of the
+  /// unfinished coordinates but at least one, so neither side repeats the
+  /// other's schedule phase.  Only a lease down to one unfinished group is
+  /// split inside it (back half).  Returns empty when no lease has at
+  /// least two unfinished coordinates to share.
   [[nodiscard]] std::vector<std::size_t> steal_for(std::uint64_t thief_conn) {
     Lease* victim = nullptr;
     std::size_t victim_left = 1;  // require >= 2 to split
@@ -482,14 +558,22 @@ struct Coordinator::Impl {
     for (const std::size_t k : victim->ks) {
       if (!complete[k]) incomplete.push_back(k);
     }
-    const std::size_t moved = incomplete.size() / 2;
-    std::vector<std::size_t> stolen(incomplete.end() - moved,
-                                    incomplete.end());
+    // Lease order is group order, so each group is one run of `incomplete`.
+    // Walk the group starts back from the end; the first group never goes.
+    const std::size_t half = incomplete.size() / 2;
+    std::size_t cut = incomplete.size();
+    for (std::size_t i = incomplete.size() - 1; i > 0; --i) {
+      if (group_of[incomplete[i - 1]] == group_of[incomplete[i]]) continue;
+      if (cut != incomplete.size() && incomplete.size() - i > half) break;
+      cut = i;
+    }
+    if (cut == incomplete.size()) cut -= half;  // one group left: split it
+    std::vector<std::size_t> stolen(incomplete.begin() + cut, incomplete.end());
     // The victim keeps everything not stolen, so its lease completes
     // without the moved coordinates (its late results for them would be
     // dedupe'd duplicates).
     std::vector<std::size_t> kept;
-    kept.reserve(victim->ks.size() - moved);
+    kept.reserve(victim->ks.size() - stolen.size());
     for (const std::size_t k : victim->ks) {
       if (std::find(stolen.begin(), stolen.end(), k) == stolen.end()) {
         kept.push_back(k);
@@ -501,6 +585,11 @@ struct Coordinator::Impl {
   }
 
   void grant(Connection& c, std::vector<std::size_t> ks) {
+    // Group order, the order the worker evaluates in: requeued leases can
+    // leave the queue out of it, and steal_for takes a lease's tail.
+    std::sort(ks.begin(), ks.end(), [&](std::size_t a, std::size_t b) {
+      return std::pair(group_of[a], a) < std::pair(group_of[b], b);
+    });
     const std::uint64_t lease_id = next_lease++;
     send(c, msg_lease(lease_id, ks));
     ++counters.leases_granted;

@@ -15,10 +15,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -156,12 +158,20 @@ TEST_F(ServiceTest, LoopbackCsvIsByteIdenticalToInproc) {
 }
 
 TEST_F(ServiceTest, ShardedPlanServesOnlyItsSlice) {
-  const SweepPlan plan = SweepPlan(small_config()).shard(1, 2);
-  const RecordSink expect = inproc_reference(plan);
-  RecordSink sink;
-  (void)run_service(plan, sink, {}, {WorkerOptions{}, WorkerOptions{}});
-  EXPECT_EQ(sink.ids, expect.ids);
-  EXPECT_EQ(sink.samples, expect.samples);
+  // shard(1, 3) keeps partial groups of uneven sizes, and lease=3 closes
+  // its group-aligned leases mid-way through the 2-member groups.
+  const SweepPlan full(small_config());
+  for (const auto& [shard, lease] :
+       {std::pair{full.shard(1, 2), std::size_t{0}},
+        std::pair{full.shard(1, 3), std::size_t{3}}}) {
+    const RecordSink expect = inproc_reference(shard);
+    CoordinatorOptions copts;
+    copts.lease = lease;
+    RecordSink sink;
+    (void)run_service(shard, sink, copts, {WorkerOptions{}, WorkerOptions{}});
+    EXPECT_EQ(sink.ids, expect.ids) << shard.shard_label();
+    EXPECT_EQ(sink.samples, expect.samples) << shard.shard_label();
+  }
 }
 
 TEST_F(ServiceTest, UngroupedWorkersDeliverIdenticalSamples) {
@@ -191,9 +201,10 @@ bool pump_recv(Coordinator& coordinator, Socket& sock, std::string& payload,
 
 /// Joins as a raw client and acquires one lease, leaving the connection in
 /// the given state afterwards.  Returns the socket (still holding the
-/// lease).
+/// lease); the leased selected indices go to `ks` when it is non-null.
 Socket acquire_lease(Coordinator& coordinator, const SweepPlan& plan,
-                     std::uint16_t port) {
+                     std::uint16_t port,
+                     std::vector<std::size_t>* ks = nullptr) {
   Socket sock = connect_to("127.0.0.1", port);
   sock.send_message(msg_hello("raw"));
   std::string payload;
@@ -202,8 +213,65 @@ Socket acquire_lease(Coordinator& coordinator, const SweepPlan& plan,
   sock.send_message(msg_ready(plan.fingerprint()));
   sock.send_message(msg_lease_request());
   EXPECT_TRUE(pump_recv(coordinator, sock, payload));
-  EXPECT_EQ(parse_service_message(payload, "raw").type, "lease");
+  const ServiceMessage lease = parse_service_message(payload, "raw");
+  EXPECT_EQ(lease.type, "lease");
+  if (ks != nullptr) *ks = parse_index_list(lease.field("ks"), "raw");
   return sock;
+}
+
+TEST_F(ServiceTest, LeasesAreWholeGroups) {
+  // A lease must hold whole schedule-reuse groups so the worker runs each
+  // group's schedule phase once; lease=3 is not a multiple of the 2-member
+  // groups, so the lease closes at the next group boundary.
+  const SweepPlan plan(small_config());
+  RecordSink sink;
+  CoordinatorOptions copts;
+  copts.lease = 3;
+  Coordinator coordinator(plan, sink, copts);
+  std::vector<std::size_t> ks;
+  const Socket sock = acquire_lease(coordinator, plan, coordinator.port(), &ks);
+  EXPECT_GE(ks.size(), 3u);
+  std::size_t covered = 0;
+  for (const std::vector<std::size_t>& group : plan.group_selection()) {
+    std::size_t in_lease = 0;
+    for (const std::size_t k : group) {
+      in_lease += std::count(ks.begin(), ks.end(), k);
+    }
+    EXPECT_TRUE(in_lease == 0 || in_lease == group.size())
+        << "group of " << group.front() << " split by the lease";
+    covered += in_lease;
+  }
+  EXPECT_EQ(covered, ks.size());
+}
+
+TEST_F(ServiceTest, StealTakesTrailingWholeGroups) {
+  // Two raw clients hold the only two leases (4 groups each) without
+  // computing; a third steals from the first.  It must get the first
+  // lease's trailing whole groups — half its work — so neither side
+  // repeats the other's schedule phase.
+  const SweepPlan plan(small_config());
+  RecordSink sink;
+  CoordinatorOptions copts;
+  copts.lease = 8;
+  Coordinator coordinator(plan, sink, copts);
+  std::vector<std::size_t> first;
+  std::vector<std::size_t> stolen;
+  const Socket a = acquire_lease(coordinator, plan, coordinator.port(), &first);
+  const Socket b = acquire_lease(coordinator, plan, coordinator.port());
+  const Socket c =
+      acquire_lease(coordinator, plan, coordinator.port(), &stolen);
+  EXPECT_EQ(coordinator.stats().leases_stolen, 1u);
+  ASSERT_EQ(first.size(), 8u);
+  ASSERT_EQ(stolen.size(), 4u);
+  EXPECT_TRUE(std::equal(stolen.begin(), stolen.end(), first.end() - 4));
+  for (const std::vector<std::size_t>& group : plan.group_selection()) {
+    std::size_t in_steal = 0;
+    for (const std::size_t k : group) {
+      in_steal += std::count(stolen.begin(), stolen.end(), k);
+    }
+    EXPECT_TRUE(in_steal == 0 || in_steal == group.size())
+        << "group of " << group.front() << " split by the steal";
+  }
 }
 
 TEST_F(ServiceTest, DisconnectedWorkersLeaseIsRequeued) {
@@ -352,6 +420,9 @@ TEST_F(ServiceTest, ResumeFromManifestRunsOnlyMissingShards) {
     });
     while (!done.load()) coordinator.poll(20);
     worker.join();
+    // The worker thread finishing does not mean its last frames were read;
+    // its EOF follows them, so wait for the connection to drop.
+    while (coordinator.connections() != 0) coordinator.poll(20);
     units_written = coordinator.stats().manifest_units_written;
     EXPECT_GE(units_written, 1u);
     EXPECT_FALSE(coordinator.finished());
@@ -377,6 +448,66 @@ TEST_F(ServiceTest, ResumeFromManifestRunsOnlyMissingShards) {
   // The resumed coordinates were never re-leased.
   EXPECT_EQ(coordinator.stats().coords_leased,
             plan.size() - coordinator.stats().coords_resumed);
+}
+
+/// Distinct coordinates journaled across every unit file of a manifest.
+std::size_t journaled_coords(const std::string& subdir) {
+  std::set<std::uint64_t> ids;
+  for (const auto& entry : std::filesystem::directory_iterator(subdir)) {
+    if (entry.path().extension() != ".jsonl") continue;
+    const ShardFile file = read_shard_file(entry.path().string());
+    for (const ShardRecord& r : file.records) ids.insert(r.coord.id);
+  }
+  return ids.size();
+}
+
+TEST_F(ServiceTest, ManifestResumesUnderADifferentLeaseSize) {
+  // Loading is partition-agnostic: units journaled with lease=4 resume
+  // under lease=6, whose units straddle the old ones.
+  const SweepPlan plan(small_config());
+  const RecordSink expect = inproc_reference(plan);
+  CoordinatorOptions copts;
+  copts.lease = 4;
+  copts.manifest_dir = (dir_ / "manifest").string();
+  {
+    // The only worker quits after two leases: two lease=4 units.
+    RecordSink partial;
+    Coordinator coordinator(plan, partial, copts);
+    std::atomic<bool> done{false};
+    std::thread worker([&] {
+      WorkerOptions w;
+      w.port = coordinator.port();
+      w.max_leases = 2;
+      (void)run_worker(w);
+      done.store(true);
+    });
+    while (!done.load()) coordinator.poll(20);
+    worker.join();
+    while (coordinator.connections() != 0) coordinator.poll(20);
+    EXPECT_EQ(coordinator.stats().manifest_units_written, 2u);
+    EXPECT_FALSE(coordinator.finished());
+  }
+  const std::size_t journaled =
+      journaled_coords(manifest_subdir(copts.manifest_dir, plan));
+  EXPECT_EQ(journaled, 8u);
+
+  copts.lease = 6;
+  RecordSink sink;
+  Coordinator coordinator(plan, sink, copts);
+  EXPECT_EQ(coordinator.stats().coords_resumed, journaled);
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    WorkerOptions w;
+    w.port = coordinator.port();
+    (void)run_worker(w);
+    done.store(true);
+  });
+  coordinator.run(50);
+  while (!done.load()) coordinator.poll(20);
+  worker.join();
+  EXPECT_EQ(sink.ids, expect.ids);
+  EXPECT_EQ(sink.samples, expect.samples);
+  EXPECT_EQ(coordinator.stats().coords_leased, plan.size() - journaled);
 }
 
 TEST_F(ServiceTest, FullyJournaledManifestFinishesWithoutWorkers) {

@@ -638,7 +638,9 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   cli.add_option("workers", "1",
                  "in-process worker threads serving this coordinator (0 = "
                  "wait for external workers only)");
-  cli.add_option("lease", "0", "coordinates per lease (0 = auto)");
+  cli.add_option("lease", "0",
+                 "minimum coordinates per lease, rounded up to whole "
+                 "(workload, granularity, rep) groups (0 = auto)");
   cli.add_option("timeout", "30",
                  "seconds of worker silence before a lease expires");
   cli.add_option("manifest-dir", "",
