@@ -1,28 +1,25 @@
 // Pluggable sweep execution backends.
 //
 // `run_plan` is the in-process engine; a `SweepBackend` decides *where*
-// the plan's shards execute while keeping the exact same contract: samples
-// are delivered to the SweepSink serially in increasing-id order, and the
+// the plan executes while keeping the exact same contract: samples are
+// delivered to the SweepSink serially in increasing-id order, and the
 // delivered doubles are bit-identical whatever backend ran them.  Backends
 // are selected by spec string through the same SpecRegistry seam as
 // schedulers, workload families and failure models:
 //
-//   inproc[:threads=N]                  the current ParallelExecutor path
-//   subprocess[:workers=K,retries=R]    fork/exec `ftsched_cli sweep
-//                                       --shard j/K` children speaking the
-//                                       JSONL shard protocol
-//   socket                              reserved for the sweep-coordinator
-//                                       service (registered, unimplemented)
+//   inproc[:threads=N]               the ParallelExecutor path, and the
+//                                    only one that runs --ungrouped (the
+//                                    reference the grouped paths match)
+//   socket[:workers=K,lease=L,...]   the sweep-coordinator service
+//                                    (service/coordinator.hpp) leasing
+//                                    whole schedule-reuse groups to local
+//                                    `ftsched_cli worker` processes
 //
-// The subprocess backend dogfoods the repo's own robustness story: a dead
-// child (nonzero exit, signal), a truncated or corrupt shard file, and a
-// grid mismatch are all detected per shard; failed shards are retried up
-// to R times and an exhausted shard surfaces a SweepBackendError naming
-// the shard and the cause.  Because every child speaks the bit-exact shard
-// protocol and delivery re-imposes id order, a subprocess run is
-// byte-identical to the in-process run by construction — the CI
-// byte-compare extends the threads=N≡1 and grouped≡ungrouped guarantees
-// across the process boundary.
+// The socket backend tolerates worker deaths by re-queueing their leases;
+// only a fully dead fleet surfaces a SweepBackendError carrying the last
+// worker's stderr and disconnect cause.  Multi-machine runs without a
+// coordinator use `sweep --shard i/N` + `merge`, the same JSONL shard
+// protocol the coordinator journals its manifests in.
 #pragma once
 
 #include <memory>
@@ -88,8 +85,8 @@ class SweepBackendRegistry : public SpecRegistry<SweepBackendPtr> {
  public:
   SweepBackendRegistry() : SpecRegistry<SweepBackendPtr>("sweep backend") {}
 
-  /// The global registry with the built-in backends (inproc, subprocess,
-  /// and the reserved socket entry) pre-registered.
+  /// The global registry with the built-in backends (inproc and socket)
+  /// pre-registered.
   [[nodiscard]] static const SweepBackendRegistry& global();
 };
 
@@ -105,15 +102,15 @@ class SweepBackendRegistry : public SpecRegistry<SweepBackendPtr> {
 /// (granularities round-trip exactly via the canonical double rendition).
 /// Programmatic tweaks the CLI grammar cannot carry (custom
 /// PaperWorkloadParams, hand-edited extra crash counts) are *not* rendered;
-/// the subprocess backend detects the resulting grid drift by comparing
-/// the child's shard fingerprint against the plan's and fails loudly.
+/// the coordinator's fingerprint gate rejects a worker whose rebuilt grid
+/// drifted, so such a plan fails loudly instead of mixing grids.
 [[nodiscard]] std::vector<std::string> sweep_cli_args(
     const FigureConfig& config);
 
 // The inverse direction — flags back to a config — lives here too (not in
-// the CLI), because every distributed executor needs it: the sweep/plan/
-// serve commands declare the options, while subprocess children and socket
-// workers rebuild their plan from a received flag vector.
+// the CLI), because the service needs it too: the sweep/plan/serve
+// commands declare the options, while socket workers rebuild their plan
+// from the coordinator's flag vector.
 
 /// Declares the sweep-grid options (figure, workload, scenario, failures,
 /// granularities, graphs, epsilon, procs, threads, seed, shard, backend)

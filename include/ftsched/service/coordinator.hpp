@@ -16,10 +16,9 @@
 //   * a worker whose rebuilt plan fingerprint differs is rejected before
 //     it can lease anything, so a drifted binary never contributes.
 //
-// Leases are group-aligned: with `group` on, a lease is a run of whole
-// schedule-reuse groups (SweepPlan::group_selection), so a worker runs each
-// (workload, granularity, rep) group's schedule phase once, not once per
-// cell.
+// Leases are group-aligned: a lease is a run of whole schedule-reuse
+// groups (SweepPlan::group_selection), so a worker runs each (workload,
+// granularity, rep) group's schedule phase once, not once per cell.
 //
 // Resumability: with a manifest directory configured, the coordinator
 // journals each completed fixed group-aligned chunk of the selection (the
@@ -64,10 +63,6 @@ struct CoordinatorOptions {
   double timeout = 30.0;
   /// Manifest root for resumable sweeps ("" = no journaling, no resume).
   std::string manifest_dir;
-  /// Workers evaluate leases via the grouped schedule-once path, and
-  /// leases are group-aligned (false: contiguous runs of selected indices,
-  /// evaluated per coordinate).
-  bool group = true;
 };
 
 /// Observable counters, primarily for tests and the serve command's
@@ -122,10 +117,10 @@ class Coordinator {
 
   [[nodiscard]] const CoordinatorStats& stats() const noexcept;
 
-  /// Human-readable cause of the most recent worker disconnect/reject
-  /// ("worker-2: peer closed mid-frame ..."); empty when none.  The socket
-  /// backend folds this into SweepBackendError like the subprocess
-  /// backend folds child stderr.
+  /// Human-readable cause of the most recent worker disconnect or reject
+  /// ("worker-2 (conn 3): rejected: grid fingerprint mismatch ..."); empty
+  /// when none.  The socket backend folds this into SweepBackendError next
+  /// to the dead worker's stderr tail.
   [[nodiscard]] const std::string& last_disconnect_cause() const noexcept;
 
  private:

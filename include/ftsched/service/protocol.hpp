@@ -11,7 +11,7 @@
 //
 //   worker → coordinator      coordinator → worker
 //   ------------------        --------------------
-//   hello   {worker}          plan    {args, shard, fingerprint, group}
+//   hello   {worker}          plan    {args, shard, fingerprint}
 //   ready   {fingerprint}     lease   {lease, ks}
 //   lease_request {}          reject  {cause}        (terminal)
 //   sample  {lease, k} + recs bye     {}             (all work done)
@@ -67,7 +67,7 @@ struct ServiceMessage {
 [[nodiscard]] std::string msg_hello(const std::string& worker);
 [[nodiscard]] std::string msg_plan(const std::vector<std::string>& sweep_args,
                                    const std::string& shard,
-                                   const std::string& fingerprint, bool group);
+                                   const std::string& fingerprint);
 [[nodiscard]] std::string msg_ready(const std::string& fingerprint);
 [[nodiscard]] std::string msg_lease_request();
 [[nodiscard]] std::string msg_lease(std::uint64_t lease,

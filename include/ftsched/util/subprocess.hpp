@@ -1,13 +1,13 @@
-// Minimal POSIX child-process spawning for the subprocess sweep backend.
+// Minimal POSIX child-process spawning for the socket sweep backend's
+// local worker fleet.
 //
 // `ChildProcess::spawn` fork/execs one command with stdout/stderr
-// redirected to files, `wait()` reaps it into a `ChildOutcome` that
-// distinguishes the three failure shapes a dead worker can take — nonzero
-// exit, termination by signal, unrunnable binary — so callers can name the
-// cause instead of reporting a generic failure.  Spawning is deliberately
-// synchronous and file-based (no pipes to drain): the sweep protocol
-// already streams through shard files, and a worker fleet is managed as
-// "spawn K, wait K" waves.
+// redirected to files, `wait()`/`try_wait()` reap it into a `ChildOutcome`
+// that distinguishes the three failure shapes a dead worker can take —
+// nonzero exit, termination by signal, unrunnable binary — so callers can
+// name the cause instead of reporting a generic failure.  Output goes to
+// files (no pipes to drain): workers talk to the coordinator over their
+// socket, and their stderr is only read back, as a tail, once they die.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,8 @@ struct ChildOutcome {
 };
 
 /// One spawned child.  Move-only handle; the destructor does NOT reap —
-/// call wait() exactly once per spawned child (the backend always does, so
-/// no zombie is left even on the error paths).
+/// reap every spawned child once via wait() or try_wait() (the backend
+/// always does, so no zombie is left even on the error paths).
 class ChildProcess {
  public:
   /// Fork/execs `argv` (argv[0] is the executable path, resolved via PATH
@@ -68,14 +68,14 @@ class ChildProcess {
 
 /// Last ~`limit` bytes of `path`, whitespace-trimmed — enough child stderr
 /// to make a worker-failure diagnostic actionable without dumping a log.
-/// Empty when the file is missing or unreadable.  Shared by the subprocess
-/// sweep backend and the coordinator service's worker supervision.
+/// Empty when the file is missing or unreadable.  The socket backend quotes
+/// it when a worker dies.
 [[nodiscard]] std::string stderr_tail(const std::string& path,
                                       std::size_t limit = 400);
 
 /// Absolute path of the running executable (/proc/self/exe); empty when it
 /// cannot be resolved.  This is how ftsched_cli finds itself when spawning
-/// subprocess-backend workers.
+/// socket-backend workers.
 [[nodiscard]] std::string self_executable_path();
 
 }  // namespace ftsched

@@ -5,12 +5,10 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unistd.h>
 
 #include "ftsched/experiments/config.hpp"
-#include "ftsched/experiments/sweep_io.hpp"
 #include "ftsched/service/coordinator.hpp"
 #include "ftsched/util/cli.hpp"
 #include "ftsched/util/parallel.hpp"
@@ -69,11 +67,10 @@ class InprocBackend final : public SweepBackend {
   std::optional<std::size_t> threads_;  ///< unset = plan.config().threads
 };
 
-// -------------------------------------------------------------- subprocess
+// ------------------------------------------------------------------ socket
 
 /// Folds a dead worker's stderr tail (util/subprocess.hpp) into a failure
-/// cause — the one formatting both process-spawning backends (subprocess
-/// and socket) share, so their errors stay equally actionable.
+/// cause.
 std::string with_child_stderr(std::string cause,
                               const std::filesystem::path& err_file) {
   const std::string err = stderr_tail(err_file.string());
@@ -101,242 +98,6 @@ struct TempDir {
   TempDir(const TempDir&) = delete;
   TempDir& operator=(const TempDir&) = delete;
 };
-
-/// One undecorated sample value extracted from a validated shard record.
-struct BackendSample {
-  std::uint64_t id = 0;
-  std::string series;  ///< undecorated (cell suffix stripped)
-  double value = 0.0;
-};
-
-/// Why one shard attempt failed, and whether another attempt could help.
-struct ShardFailure {
-  std::string cause;
-  bool retryable = true;
-};
-
-class SubprocessBackend final : public SweepBackend {
- public:
-  SubprocessBackend(std::size_t workers, std::size_t retries, std::string bin,
-                    std::size_t child_threads, std::string dir)
-      : workers_(workers),
-        retries_(retries),
-        bin_(std::move(bin)),
-        child_threads_(child_threads),
-        dir_(std::move(dir)) {}
-
-  [[nodiscard]] std::string describe() const override {
-    return "fork/exec shard workers (workers=" +
-           (workers_ == 0 ? std::string("hw")
-                          : std::to_string(workers_)) +
-           ", retries=" + std::to_string(retries_) + ", bin=" + bin_ + ")";
-  }
-
-  void run(const SweepPlan& plan, SweepSink& sink,
-           const RunPlanOptions& options) const override;
-
- private:
-  std::size_t workers_;        ///< 0 = hardware concurrency
-  std::size_t retries_;        ///< extra attempts per shard
-  std::string bin_;            ///< ftsched_cli binary (never empty)
-  std::size_t child_threads_;  ///< --threads passed to each child
-  std::string dir_;            ///< scratch root ("" = system temp dir)
-};
-
-/// Reads and validates one child's shard file against exactly the slice it
-/// was asked to produce, appending the undecorated samples to `out`.
-/// Returns a failure description instead of throwing so the caller can
-/// retry; the shard protocol errors (read_shard's malformed-line context)
-/// become the cause text verbatim.
-std::optional<ShardFailure> collect_shard(const SweepPlan& plan,
-                                          const SweepPlan& expected,
-                                          const std::filesystem::path& file,
-                                          std::vector<BackendSample>& out) {
-  ShardFile shard;
-  try {
-    shard = read_shard_file(file.string());
-  } catch (const Error& e) {
-    return ShardFailure{std::string("shard file unreadable (truncated "
-                                    "or corrupt?): ") +
-                        e.what()};
-  }
-  if (shard.header.fingerprint() != plan.fingerprint()) {
-    // Deterministic: the CLI flag rendition cannot express this plan (e.g.
-    // programmatic PaperWorkloadParams tweaks), so retrying cannot help.
-    return ShardFailure{
-        "grid fingerprint mismatch — the child rebuilt a different grid "
-        "from the CLI flags (programmatic FigureConfig tweaks the flag "
-        "grammar cannot express?)\n  want: " +
-            plan.fingerprint() + "\n  got:  " + shard.header.fingerprint(),
-        /*retryable=*/false};
-  }
-  if (shard.header.shard != expected.shard_label()) {
-    return ShardFailure{"child covered shard '" + shard.header.shard +
-                        "' instead of '" + expected.shard_label() + "'"};
-  }
-  std::vector<std::uint64_t> expected_ids;
-  expected_ids.reserve(expected.size());
-  for (std::size_t k = 0; k < expected.size(); ++k) {
-    expected_ids.push_back(expected.coord(k).id);
-  }
-  std::vector<char> covered(expected_ids.size(), 0);
-  std::size_t distinct = 0;
-  const std::size_t first = out.size();
-  for (const ShardRecord& r : shard.records) {
-    const auto it = std::lower_bound(expected_ids.begin(), expected_ids.end(),
-                                     r.coord.id);
-    if (it == expected_ids.end() || *it != r.coord.id) {
-      out.resize(first);
-      return ShardFailure{"record instance id " + std::to_string(r.coord.id) +
-                          " outside the shard's slice"};
-    }
-    if (r.stats.count() != 1) {
-      out.resize(first);
-      return ShardFailure{"record of instance " + std::to_string(r.coord.id) +
-                          " is not a single-sample accumulator (n=" +
-                          std::to_string(r.stats.count()) + ")"};
-    }
-    char& seen = covered[static_cast<std::size_t>(it - expected_ids.begin())];
-    if (!seen) {
-      seen = 1;
-      ++distinct;
-    }
-    std::string series = r.series;
-    if (!undecorate_series(plan, r.coord, series)) {
-      out.resize(first);
-      return ShardFailure{"record series '" + r.series +
-                          "' lacks the cell suffix of instance " +
-                          std::to_string(r.coord.id)};
-    }
-    out.push_back(BackendSample{r.coord.id, std::move(series),
-                                r.stats.mean()});
-  }
-  if (distinct != expected_ids.size()) {
-    out.resize(first);
-    return ShardFailure{"shard file covers " + std::to_string(distinct) +
-                        " of " + std::to_string(expected_ids.size()) +
-                        " instances (truncated write or dead worker?)"};
-  }
-  return std::nullopt;
-}
-
-void SubprocessBackend::run(const SweepPlan& plan, SweepSink& sink,
-                            const RunPlanOptions& options) const {
-  const std::size_t n = plan.size();
-  if (n == 0) return;
-  const std::size_t shard_count = std::min(
-      n, workers_ == 0 ? ParallelExecutor::resolve_thread_count(0) : workers_);
-
-  const TempDir tmp(dir_);
-  const std::vector<std::string> grid_args = sweep_cli_args(plan.config());
-
-  struct Job {
-    SweepPlan expected;        ///< the slice this child must produce
-    std::string chain;         ///< --shard chain from the *full* grid
-    std::filesystem::path out_file;
-    std::filesystem::path log_file;
-    std::filesystem::path err_file;
-    std::size_t attempts = 0;
-
-    explicit Job(SweepPlan plan) : expected(std::move(plan)) {}
-  };
-
-  std::vector<Job> jobs;
-  jobs.reserve(shard_count);
-  for (std::size_t j = 0; j < shard_count; ++j) {
-    Job job(plan.shard(j, shard_count));
-    // The child rebuilds the slice from the full grid, so its --shard is
-    // the parent's chain (empty when the parent is the full plan) extended
-    // by this worker's step — nested shards compose naturally.
-    const std::string step =
-        std::to_string(j) + "/" + std::to_string(shard_count);
-    job.chain = plan.shard_label() == "full" ? step
-                                             : plan.shard_label() + "," + step;
-    const std::string base = "shard" + std::to_string(j);
-    job.out_file = tmp.path / (base + ".jsonl");
-    job.log_file = tmp.path / (base + ".log");
-    job.err_file = tmp.path / (base + ".err");
-    jobs.push_back(std::move(job));
-  }
-
-  std::vector<BackendSample> samples;
-  std::vector<std::size_t> pending(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) pending[j] = j;
-
-  while (!pending.empty()) {
-    // Spawn the wave concurrently, then reap and validate each child.
-    std::vector<ChildProcess> children;
-    children.reserve(pending.size());
-    for (const std::size_t j : pending) {
-      Job& job = jobs[j];
-      ++job.attempts;
-      std::error_code ec;
-      std::filesystem::remove(job.out_file, ec);  // drop a stale attempt
-      std::vector<std::string> argv{bin_, "sweep"};
-      argv.insert(argv.end(), grid_args.begin(), grid_args.end());
-      argv.push_back("--threads");
-      argv.push_back(std::to_string(child_threads_));
-      argv.push_back("--shard");
-      argv.push_back(job.chain);
-      argv.push_back("--out");
-      argv.push_back(job.out_file.string());
-      if (!options.group) argv.push_back("--ungrouped");
-      children.push_back(ChildProcess::spawn(argv, job.log_file.string(),
-                                             job.err_file.string()));
-    }
-
-    std::vector<std::size_t> failed;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      Job& job = jobs[pending[i]];
-      const ChildOutcome outcome = children[i].wait();
-      std::optional<ShardFailure> failure;
-      if (!outcome.success()) {
-        failure = ShardFailure{"child " + outcome.describe()};
-      } else {
-        failure = collect_shard(plan, job.expected, job.out_file, samples);
-      }
-      if (!failure) continue;
-      failure->cause = with_child_stderr(std::move(failure->cause),
-                                         job.err_file);
-      const std::size_t budget = 1 + retries_;
-      if (!failure->retryable || job.attempts >= budget) {
-        throw SweepBackendError(
-            "subprocess", job.chain,
-            failure->cause + " (attempt " + std::to_string(job.attempts) +
-                " of " + std::to_string(budget) + ")");
-      }
-      failed.push_back(pending[i]);
-    }
-    pending = std::move(failed);
-  }
-
-  // Canonical delivery: ascending full-grid id, exactly run_plan's order.
-  // Shard validation proved the samples cover the plan's selection exactly
-  // once, so walking the selection in order consumes every sample.
-  std::stable_sort(samples.begin(), samples.end(),
-                   [](const BackendSample& a, const BackendSample& b) {
-                     return a.id < b.id;
-                   });
-  std::size_t at = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const InstanceCoord coord = plan.coord(k);
-    SeriesSample sample;
-    while (at < samples.size() && samples[at].id == coord.id) {
-      const bool fresh =
-          sample.emplace(std::move(samples[at].series), samples[at].value)
-              .second;
-      if (!fresh) {
-        throw SweepBackendError(
-            "subprocess", plan.shard_label(),
-            "duplicate series record for instance " + std::to_string(coord.id));
-      }
-      ++at;
-    }
-    sink.on_sample(coord, sample);
-  }
-}
-
-// ------------------------------------------------------------------ socket
 
 /// The coordinator-service backend: runs the Coordinator in-process and
 /// spawns local `ftsched_cli worker --connect` children that lease slices
@@ -384,6 +145,9 @@ class SocketBackend final : public SweepBackend {
 
 void SocketBackend::run(const SweepPlan& plan, SweepSink& sink,
                         const RunPlanOptions& options) const {
+  FTSCHED_REQUIRE(options.group,
+                  "socket workers always evaluate grouped; --ungrouped is "
+                  "the in-process reference path (--backend inproc)");
   const std::size_t n = plan.size();
   if (n == 0) return;
 
@@ -392,7 +156,6 @@ void SocketBackend::run(const SweepPlan& plan, SweepSink& sink,
   copts.lease = lease_;
   copts.timeout = timeout_;
   copts.manifest_dir = manifest_;
-  copts.group = options.group;
   Coordinator coordinator(plan, sink, copts);
   if (coordinator.finished()) return;  // fully served from the manifest
 
@@ -497,34 +260,6 @@ SweepBackendRegistry build_registry() {
       [](const SpecOptions& options) -> SweepBackendPtr {
         return std::make_unique<InprocBackend>(
             optional_size(options, "threads"));
-      },
-  });
-
-  registry.add({
-      "subprocess",
-      "fork/exec 'ftsched_cli sweep --shard j/K' workers over the JSONL "
-      "shard protocol; dead or corrupt shards are retried",
-      {{"workers", "0", "child processes / shards (0 = hardware concurrency)"},
-       {"retries", "2", "extra attempts per failed shard"},
-       {"bin", "",
-        "ftsched_cli binary to exec (default: the running CLI itself, or "
-        "$FTSCHED_CLI for library embedders)"},
-       {"threads", "1", "worker threads inside each child"},
-       {"dir", "", "scratch directory for shard files (default: $TMPDIR)"}},
-      [](const SpecOptions& options) -> SweepBackendPtr {
-        std::string bin = options.get("bin", "");
-        if (bin.empty()) {
-          const char* env = std::getenv("FTSCHED_CLI");
-          if (env != nullptr) bin = env;
-        }
-        FTSCHED_REQUIRE(
-            !bin.empty(),
-            "subprocess backend needs bin=<path to ftsched_cli> (or "
-            "FTSCHED_CLI in the environment) when not run from the CLI");
-        return std::make_unique<SubprocessBackend>(
-            options.get_size("workers", 0), options.get_size("retries", 2),
-            std::move(bin), options.get_size("threads", 1),
-            options.get("dir", ""));
       },
   });
 
@@ -647,7 +382,7 @@ void add_sweep_grid_options(CliParser& cli) {
                  "grid)");
   cli.add_option("backend", "inproc",
                  "execution backend spec, e.g. inproc or "
-                 "subprocess:workers=3 (see list-backends)");
+                 "socket:workers=3 (see list-backends)");
 }
 
 FigureConfig sweep_config_from_cli(const CliParser& cli) {

@@ -75,6 +75,7 @@ struct Coordinator::Impl {
     std::string name;  ///< from hello; "<unnamed>" until then
     enum class State { AwaitHello, PlanSent, Ready, Waiting, Rejected };
     State state = State::AwaitHello;
+    std::string reject_cause;  ///< why the state became Rejected
   };
 
   struct Lease {
@@ -108,9 +109,9 @@ struct Coordinator::Impl {
   std::uint64_t next_lease = 1;
   std::vector<std::uint64_t> waiting;  ///< parked lease requests, in order
 
-  // Schedule-reuse groups (plan.group_selection(), or one group per
-  // coordinate when group=false) laid end to end: `order` lists every
-  // selected index group by group, and group_of[k] is k's group number.
+  // Schedule-reuse groups (plan.group_selection()) laid end to end:
+  // `order` lists every selected index group by group, and group_of[k] is
+  // k's group number.
   std::vector<std::size_t> order;
   std::vector<std::size_t> group_of;
 
@@ -149,13 +150,8 @@ struct Coordinator::Impl {
     fingerprint = plan.fingerprint();
     sweep_args = sweep_cli_args(plan.config());
 
-    std::vector<std::vector<std::size_t>> groups;
-    if (opts.group) {
-      groups = plan.group_selection();
-    } else {
-      groups.reserve(n);
-      for (std::size_t k = 0; k < n; ++k) groups.push_back({k});
-    }
+    const std::vector<std::vector<std::size_t>> groups =
+        plan.group_selection();
     order.reserve(n);
     group_of.assign(n, 0);
     unit_of.assign(n, 0);
@@ -274,11 +270,9 @@ struct Coordinator::Impl {
       const std::size_t k = order[i];
       append_sample_records(text, plan, plan.coord(k), unpack(samples[k]));
     }
-    // The name is the unit's span of `order`; the "g" keeps grouped and
-    // per-coordinate partitions of one manifest from overwriting each
-    // other.  Loading ignores names, so any partition resumes any other.
-    const std::string name = "unit_" + std::string(opts.group ? "g" : "") +
-                             std::to_string(begin) + "_" +
+    // The name is the unit's span of the group order ("g").  Loading
+    // ignores names, so any partition resumes any other.
+    const std::string name = "unit_g" + std::to_string(begin) + "_" +
                              std::to_string(end) + ".jsonl";
     write_file_atomic(std::filesystem::path(manifest) / name, text);
     unit_written[u] = 1;
@@ -355,8 +349,8 @@ struct Coordinator::Impl {
   void reject(Connection& c, const std::string& cause) {
     send(c, msg_reject(cause));
     c.state = Connection::State::Rejected;
+    c.reject_cause = cause;
     ++counters.workers_rejected;
-    last_cause = describe(c) + ": rejected: " + cause;
   }
 
   void handle_message(Connection& c, const std::string& payload) {
@@ -371,8 +365,7 @@ struct Coordinator::Impl {
         return;
       }
       c.name = msg.field_or("worker", "");
-      send(c, msg_plan(sweep_args, plan.shard_label(), fingerprint,
-                       opts.group));
+      send(c, msg_plan(sweep_args, plan.shard_label(), fingerprint));
       c.state = Connection::State::PlanSent;
       ++counters.workers_joined;
       return;
@@ -664,7 +657,7 @@ struct Coordinator::Impl {
       return;
     }
     if (c.state == Connection::State::Rejected) {
-      drop_conn(id, "rejected");
+      drop_conn(id, "rejected: " + c.reject_cause);
       return;
     }
     if (eof) {

@@ -40,13 +40,11 @@ std::string msg_hello(const std::string& worker) {
 }
 
 std::string msg_plan(const std::vector<std::string>& sweep_args,
-                     const std::string& shard, const std::string& fingerprint,
-                     bool group) {
+                     const std::string& shard, const std::string& fingerprint) {
   std::string out = "{\"type\":\"plan\",";
   out += quoted("args", join_plan_args(sweep_args)) + ",";
   out += quoted("shard", shard) + ",";
-  out += quoted("fingerprint", fingerprint) + ",";
-  out += quoted("group", group ? "1" : "0") + "}";
+  out += quoted("fingerprint", fingerprint) + "}";
   return out;
 }
 

@@ -58,19 +58,16 @@ WorkerReport run_worker(const WorkerOptions& options) {
       sweep_config_from_args(split_plan_args(msg.field("args")));
   const SweepPlan plan =
       apply_shard_chain(SweepPlan(config), msg.field("shard"));
-  const bool group = msg.field_or("group", "1") != "0";
   sock.send_message(msg_ready(plan.fingerprint()));
 
   // Selected index -> schedule-reuse group, so a lease's coordinates can
   // be bucketed into evaluate_group calls (any ascending subset of one
-  // group is valid and bit-identical to per-coordinate evaluation).
+  // group is valid and bit-identical to per-coordinate evaluation, so any
+  // lease shape — group-aligned or not — buckets correctly).
   std::vector<std::size_t> group_of(plan.size(), 0);
-  if (group) {
-    const std::vector<std::vector<std::size_t>> groups =
-        plan.group_selection();
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      for (const std::size_t k : groups[gi]) group_of[k] = gi;
-    }
+  const std::vector<std::vector<std::size_t>> groups = plan.group_selection();
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (const std::size_t k : groups[gi]) group_of[k] = gi;
   }
 
   // Keep leases alive *while computing*, not just while parked: the
@@ -133,26 +130,18 @@ WorkerReport run_worker(const WorkerOptions& options) {
       std::raise(SIGKILL);
     }
 
-    if (group) {
-      // Bucket the lease by schedule-reuse group; buckets keep ascending
-      // member order, so each one is a valid evaluate_group subset.
-      std::map<std::size_t, std::vector<std::size_t>> buckets;
-      for (const std::size_t k : ks) buckets[group_of[k]].push_back(k);
-      for (const auto& [gi, members] : buckets) {
-        (void)gi;
-        const std::vector<SeriesSample> samples = plan.evaluate_group(members);
-        // One heartbeat per completed group bounds the silent stretch to a
-        // single evaluate_group call even when samples are throttled.
-        heartbeat();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-          send_sample(lease, members[i], samples[i]);
-        }
-      }
-    } else {
-      for (const std::size_t k : ks) {
-        const SeriesSample sample = plan.evaluate(plan.coord(k));
-        heartbeat();
-        send_sample(lease, k, sample);
+    // Bucket the lease by schedule-reuse group; buckets keep ascending
+    // member order, so each one is a valid evaluate_group subset.
+    std::map<std::size_t, std::vector<std::size_t>> buckets;
+    for (const std::size_t k : ks) buckets[group_of[k]].push_back(k);
+    for (const auto& [gi, members] : buckets) {
+      (void)gi;
+      const std::vector<SeriesSample> samples = plan.evaluate_group(members);
+      // One heartbeat per completed group bounds the silent stretch to a
+      // single evaluate_group call even when samples are throttled.
+      heartbeat();
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        send_sample(lease, members[i], samples[i]);
       }
     }
     sock.send_message(msg_done(lease));

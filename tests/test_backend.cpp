@@ -1,19 +1,17 @@
 // Tests of the pluggable sweep execution backends (experiments/backend.hpp)
-// and the POSIX subprocess helper underneath them.
+// and the POSIX child-process helper the socket backend spawns workers
+// through.
 //
-// The load-bearing property is backend equivalence: whatever executes the
-// plan — the in-process executor or fork/exec'd CLI children — the sink
-// sees the same samples in the same order, bit-identical, so CSV and JSONL
-// output never depend on the backend choice.  Fault injection (killed
-// workers, truncated shard files, always-failing binaries) goes through
-// wrapper shell scripts around the real CLI binary, whose path CMake hands
-// us as FTSCHED_CLI_PATH.
+// The load-bearing property is backend equivalence: the sink sees the same
+// samples in the same order, bit-identical, so CSV and JSONL output never
+// depend on the backend choice.  The socket backend's worker processes
+// (equivalence, worker deaths, fingerprint rejects) are tested in
+// test_service; the real CLI binary's path comes from CMake as
+// FTSCHED_CLI_PATH.
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -55,22 +53,10 @@ class RecordSink final : public SweepSink {
   std::vector<SeriesSample> samples;
 };
 
-RecordSink record(const SweepBackend& backend, const SweepPlan& plan,
-                  bool group = true) {
+RecordSink record(const SweepBackend& backend, const SweepPlan& plan) {
   RecordSink sink;
-  RunPlanOptions options;
-  options.group = group;
-  backend.run(plan, sink, options);
+  backend.run(plan, sink);
   return sink;
-}
-
-std::string csv_via(const SweepBackend& backend, const SweepPlan& plan,
-                    bool group = true) {
-  OnlineStatsSink sink(plan);
-  RunPlanOptions options;
-  options.group = group;
-  backend.run(plan, sink, options);
-  return sweep_to_csv(sink.take());
 }
 
 std::string jsonl_via(const SweepBackend& backend, const SweepPlan& plan) {
@@ -92,29 +78,6 @@ class BackendTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Writes an executable wrapper script around the real CLI.  `body` runs
-  /// with $@ = the CLI arguments and the helper variables shard (the
-  /// --shard value), outfile (the --out value) and marker (a per-shard
-  /// scratch path that survives across attempts) already bound.
-  std::string write_wrapper(const std::string& name, const std::string& body) {
-    const std::string path = (dir_ / name).string();
-    std::ofstream script(path);
-    script << "#!/bin/sh\n"
-           << "shard=''\noutfile=''\nprev=''\n"
-           << "for a in \"$@\"; do\n"
-           << "  [ \"$prev\" = '--shard' ] && shard=\"$a\"\n"
-           << "  [ \"$prev\" = '--out' ] && outfile=\"$a\"\n"
-           << "  prev=\"$a\"\n"
-           << "done\n"
-           << "marker='" << (dir_ / "marker").string()
-           << "'_$(echo \"$shard\" | tr '/,' '__')\n"
-           << "CLI='" << cli_path() << "'\n"
-           << body;
-    script.close();
-    ::chmod(path.c_str(), 0755);
-    return path;
-  }
-
   std::filesystem::path dir_;
 };
 
@@ -122,9 +85,17 @@ class BackendTest : public ::testing::Test {
 
 TEST_F(BackendTest, RegistryListsAllBackends) {
   const std::vector<std::string> names = SweepBackendRegistry::global().names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "inproc"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "subprocess"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "socket"), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"inproc", "socket"}));
+  // The retired fork/exec shard backend is an unknown spec now, and the
+  // error lists what is available instead.
+  try {
+    (void)make_sweep_backend("subprocess", {{"bin", cli_path()}});
+    FAIL() << "subprocess is no longer a backend";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("inproc"), std::string::npos) << what;
+    EXPECT_NE(what.find("socket"), std::string::npos) << what;
+  }
 }
 
 TEST_F(BackendTest, UnknownBackendAndOptionFailLoudly) {
@@ -145,28 +116,17 @@ TEST_F(BackendTest, SocketBackendNeedsABinary) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("bin="), std::string::npos);
   }
+  // The FTSCHED_CLI environment fallback and the defaults seam both work.
+  ::setenv("FTSCHED_CLI", cli_path().c_str(), 1);
+  EXPECT_NE(make_sweep_backend("socket"), nullptr);
+  ::unsetenv("FTSCHED_CLI");
   // With a binary it constructs and describes itself.
   const SweepBackendPtr backend =
       make_sweep_backend("socket:workers=2,lease=3", {{"bin", cli_path()}});
   EXPECT_NE(backend->describe().find("workers=2"), std::string::npos);
 }
 
-TEST_F(BackendTest, SubprocessNeedsABinary) {
-  ::unsetenv("FTSCHED_CLI");
-  try {
-    (void)make_sweep_backend("subprocess");
-    FAIL() << "subprocess without bin should not construct";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("bin="), std::string::npos);
-  }
-  // The FTSCHED_CLI environment fallback and the defaults seam both work.
-  ::setenv("FTSCHED_CLI", cli_path().c_str(), 1);
-  EXPECT_NE(make_sweep_backend("subprocess"), nullptr);
-  ::unsetenv("FTSCHED_CLI");
-  EXPECT_NE(make_sweep_backend("subprocess", {{"bin", cli_path()}}), nullptr);
-}
-
-// ------------------------------------------------- subprocess primitives
+// ------------------------------------------------ child-process primitives
 
 TEST_F(BackendTest, ChildProcessReportsExitsSignalsAndExecFailures) {
   ChildProcess ok = ChildProcess::spawn({"/bin/sh", "-c", "exit 5"}, "", "");
@@ -213,149 +173,6 @@ TEST_F(BackendTest, InprocBackendMatchesRunPlanExactly) {
     const RecordSink via = record(*backend, plan);
     EXPECT_EQ(via.ids, direct.ids) << spec;
     EXPECT_EQ(via.samples, direct.samples) << spec;
-  }
-}
-
-TEST_F(BackendTest, SubprocessByteIdenticalAcrossWorkersAndGrouping) {
-  const SweepPlan plan(small_config());
-  const SweepBackendPtr inproc = make_sweep_backend("inproc");
-  const std::string reference = csv_via(*inproc, plan);
-  ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(reference, csv_via(*inproc, plan, /*group=*/false));
-
-  for (const std::size_t workers : {1u, 2u, 3u}) {
-    for (const bool group : {true, false}) {
-      const SweepBackendPtr backend = make_sweep_backend(
-          "subprocess:workers=" + std::to_string(workers),
-          {{"bin", cli_path()}, {"dir", dir_.string()}});
-      EXPECT_EQ(reference, csv_via(*backend, plan, group))
-          << "workers=" << workers << " group=" << group;
-    }
-  }
-}
-
-TEST_F(BackendTest, SubprocessShardJsonlMatchesInproc) {
-  const SweepPlan plan(small_config());
-  const SweepBackendPtr inproc = make_sweep_backend("inproc");
-  const SweepBackendPtr subprocess = make_sweep_backend(
-      "subprocess:workers=2", {{"bin", cli_path()}, {"dir", dir_.string()}});
-  EXPECT_EQ(jsonl_via(*inproc, plan), jsonl_via(*subprocess, plan));
-}
-
-TEST_F(BackendTest, SubprocessHandlesNestedShardsOfAShardedPlan) {
-  const SweepPlan plan = SweepPlan(small_config()).shard(1, 2);
-  const SweepBackendPtr inproc = make_sweep_backend("inproc");
-  const SweepBackendPtr subprocess = make_sweep_backend(
-      "subprocess:workers=3", {{"bin", cli_path()}, {"dir", dir_.string()}});
-  const RecordSink direct = record(*inproc, plan);
-  const RecordSink via = record(*subprocess, plan);
-  EXPECT_EQ(via.ids, direct.ids);
-  EXPECT_EQ(via.samples, direct.samples);
-  // The shard really was a strict subset executed under a nested chain.
-  EXPECT_EQ(direct.ids.size(), plan.size());
-  EXPECT_LT(plan.size(), plan.grid_size());
-}
-
-// ------------------------------------------------------ fault injection
-
-TEST_F(BackendTest, KilledWorkerIsRetriedAndStaysByteIdentical) {
-  // First attempt of every shard: die by SIGKILL before doing anything.
-  const std::string wrapper = write_wrapper(
-      "kill_first.sh",
-      "if [ ! -e \"$marker\" ]; then\n"
-      "  : > \"$marker\"\n"
-      "  kill -9 $$\n"
-      "fi\n"
-      "exec \"$CLI\" \"$@\"\n");
-  const SweepPlan plan(small_config());
-  const std::string reference =
-      csv_via(*make_sweep_backend("inproc"), plan);
-  const SweepBackendPtr backend = make_sweep_backend(
-      "subprocess:workers=2,retries=1",
-      {{"bin", wrapper}, {"dir", dir_.string()}});
-  EXPECT_EQ(reference, csv_via(*backend, plan));
-}
-
-TEST_F(BackendTest, TruncatedShardFileIsRetriedAndStaysByteIdentical) {
-  // First attempt: run the real CLI, then truncate its shard file and
-  // exit 0 — the success-looking child with a corrupt file.
-  const std::string wrapper = write_wrapper(
-      "truncate_first.sh",
-      "if [ ! -e \"$marker\" ]; then\n"
-      "  : > \"$marker\"\n"
-      "  \"$CLI\" \"$@\" || exit $?\n"
-      "  head -c 60 \"$outfile\" > \"$outfile.tmp\"\n"
-      "  mv \"$outfile.tmp\" \"$outfile\"\n"
-      "  exit 0\n"
-      "fi\n"
-      "exec \"$CLI\" \"$@\"\n");
-  const SweepPlan plan(small_config());
-  const std::string reference =
-      csv_via(*make_sweep_backend("inproc"), plan);
-  const SweepBackendPtr backend = make_sweep_backend(
-      "subprocess:workers=2,retries=1",
-      {{"bin", wrapper}, {"dir", dir_.string()}});
-  EXPECT_EQ(reference, csv_via(*backend, plan));
-}
-
-TEST_F(BackendTest, ExhaustedRetriesSurfaceAStructuredError) {
-  const std::string wrapper = write_wrapper(
-      "always_fail.sh", "echo 'synthetic shard failure' >&2\nexit 3\n");
-  const SweepPlan plan(small_config());
-  const SweepBackendPtr backend = make_sweep_backend(
-      "subprocess:workers=2,retries=1",
-      {{"bin", wrapper}, {"dir", dir_.string()}});
-  RecordSink sink;
-  try {
-    backend->run(plan, sink);
-    FAIL() << "an always-failing child must not produce a result";
-  } catch (const SweepBackendError& e) {
-    EXPECT_EQ(e.backend(), "subprocess");
-    EXPECT_NE(e.shard().find('/'), std::string::npos);
-    EXPECT_NE(e.cause().find("exited with status 3"), std::string::npos);
-    EXPECT_NE(e.cause().find("attempt 2 of 2"), std::string::npos);
-    EXPECT_NE(e.cause().find("synthetic shard failure"), std::string::npos)
-        << "child stderr should be quoted in the cause";
-    EXPECT_NE(std::string(e.what()).find("sweep backend 'subprocess'"),
-              std::string::npos);
-  }
-}
-
-TEST_F(BackendTest, MissingBinarySurfacesExecFailure) {
-  const SweepPlan plan(small_config());
-  const SweepBackendPtr backend = make_sweep_backend(
-      "subprocess:workers=1,retries=0",
-      {{"bin", (dir_ / "no_such_cli").string()}, {"dir", dir_.string()}});
-  RecordSink sink;
-  try {
-    backend->run(plan, sink);
-    FAIL() << "a missing binary must not produce a result";
-  } catch (const SweepBackendError& e) {
-    EXPECT_NE(e.cause().find("could not execute"), std::string::npos);
-  }
-}
-
-TEST_F(BackendTest, UnrepresentableConfigFailsFastOnFingerprint) {
-  // A programmatic tweak the CLI flag grammar cannot express: the child
-  // rebuilds the default paper workload, its fingerprint disagrees, and
-  // the backend must fail immediately (retrying is pointless) with a
-  // cause that names the mismatch.
-  FigureConfig config = small_config();
-  config.workloads.clear();  // paper-configured cell => params are identity
-  config.scenarios.clear();
-  config.workload.task_min = 17;
-  const SweepPlan plan(config);
-  const SweepBackendPtr backend = make_sweep_backend(
-      "subprocess:workers=1,retries=2",
-      {{"bin", cli_path()}, {"dir", dir_.string()}});
-  RecordSink sink;
-  try {
-    backend->run(plan, sink);
-    FAIL() << "a fingerprint mismatch must not produce a result";
-  } catch (const SweepBackendError& e) {
-    EXPECT_NE(e.cause().find("fingerprint mismatch"), std::string::npos);
-    // Fail-fast: attempt 1, not retries exhausted.
-    EXPECT_NE(e.cause().find("attempt 1 of 3"), std::string::npos);
   }
 }
 

@@ -476,27 +476,51 @@ TEST_F(CliTest, MergeRejectsIncompleteShardSet) {
 TEST_F(CliTest, ListBackendsShowsRegistryEntries) {
   const CliResult r = run({"list-backends"});
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("inproc"), std::string::npos);
-  EXPECT_NE(r.out.find("subprocess"), std::string::npos);
-  EXPECT_NE(r.out.find("socket"), std::string::npos);
-  EXPECT_NE(r.out.find("retries="), std::string::npos);
+  // Exactly two entries: each backend name starts a line of its own.
+  std::vector<std::string> names;
+  std::istringstream lines(r.out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) break;  // the spec-syntax epilogue follows
+    if (line[0] != ' ') names.push_back(line);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"inproc", "socket"}));
+  EXPECT_NE(r.out.find("lease="), std::string::npos);
+  EXPECT_EQ(r.out.find("subprocess"), std::string::npos);
 }
 
-TEST_F(CliTest, SweepSubprocessBackendMatchesDefaultCsv) {
+TEST_F(CliTest, SweepSocketBackendMatchesDefaultCsv) {
   // run_cli executes in-process here, so /proc/self/exe is the *test*
   // binary — the spec must name the real CLI explicitly, exactly like a
   // library embedder would.
   const std::string base_csv = (dir_ / "backend_base.csv").string();
-  const std::string sub_csv = (dir_ / "backend_sub.csv").string();
+  const std::string socket_csv = (dir_ / "backend_socket.csv").string();
   ASSERT_EQ(run(with_grid({"sweep"}, {"--out", base_csv})).code, 0);
   const CliResult r = run(with_grid(
       {"sweep"},
       {"--backend",
-       "subprocess:workers=3,bin=" FTSCHED_CLI_PATH ",dir=" + dir_.string(),
-       "--out", sub_csv}));
+       "socket:workers=3,bin=" FTSCHED_CLI_PATH ",dir=" + dir_.string(),
+       "--out", socket_csv}));
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_EQ(read_file(base_csv), read_file(sub_csv))
-      << "subprocess-backend CSV is not byte-identical to the default";
+  EXPECT_EQ(read_file(base_csv), read_file(socket_csv))
+      << "socket-backend CSV is not byte-identical to the default";
+}
+
+TEST_F(CliTest, UngroupedSweepIsInprocOnly) {
+  // The per-coordinate path is the in-process reference; socket workers
+  // always group, so asking for both is an error before any spawn.
+  const CliResult r = run(with_grid(
+      {"sweep"}, {"--ungrouped", "--backend",
+                  "socket:workers=1,bin=" FTSCHED_CLI_PATH ",dir=" +
+                      dir_.string()}));
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("in-process reference path"), std::string::npos)
+      << r.err;
+
+  // The service has no ungrouped mode at all.
+  const CliResult serve = run({"serve", "--ungrouped"});
+  EXPECT_EQ(serve.code, 1);
+  EXPECT_NE(serve.err.find("unknown option: --ungrouped"), std::string::npos)
+      << serve.err;
 }
 
 TEST_F(CliTest, SweepRejectsBogusBackendSpecs) {
@@ -520,10 +544,12 @@ TEST_F(CliTest, SweepRejectsBogusBackendSpecs) {
 
 TEST_F(CliTest, PlanPrintsTheBackendLine) {
   const CliResult r = run(with_grid(
-      {"plan"}, {"--backend", "subprocess:workers=2,bin=" FTSCHED_CLI_PATH}));
+      {"plan"}, {"--backend", "socket:workers=2,bin=" FTSCHED_CLI_PATH}));
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("backend:      fork/exec shard workers (workers=2"),
-            std::string::npos);
+  EXPECT_NE(r.out.find("backend:      sweep-coordinator service with local "
+                       "socket workers (workers=2"),
+            std::string::npos)
+      << r.out;
 }
 
 TEST_F(CliTest, ShardChainsNestLikeTheBackendDoes) {

@@ -17,10 +17,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -172,17 +174,6 @@ TEST_F(ServiceTest, ShardedPlanServesOnlyItsSlice) {
     EXPECT_EQ(sink.ids, expect.ids) << shard.shard_label();
     EXPECT_EQ(sink.samples, expect.samples) << shard.shard_label();
   }
-}
-
-TEST_F(ServiceTest, UngroupedWorkersDeliverIdenticalSamples) {
-  const SweepPlan plan(small_config());
-  const RecordSink expect = inproc_reference(plan);
-  CoordinatorOptions copts;
-  copts.group = false;
-  RecordSink sink;
-  (void)run_service(plan, sink, copts, {WorkerOptions{}});
-  EXPECT_EQ(sink.ids, expect.ids);
-  EXPECT_EQ(sink.samples, expect.samples);
 }
 
 // --------------------------------------------------- faults and stealing
@@ -550,6 +541,18 @@ TEST_F(ServiceTest, SocketBackendMatchesInprocWithRealWorkers) {
   backend->run(plan, sink);
   EXPECT_EQ(sink.ids, expect.ids);
   EXPECT_EQ(sink.samples, expect.samples);
+
+  // The JSONL shard protocol (what `sweep --shard` writes) is byte-identical
+  // too, so a socket run can stand in for any shard of a merge.
+  const auto jsonl_via = [&](const SweepBackend& b) {
+    std::ostringstream os;
+    ShardWriterSink writer(os, plan);
+    b.run(plan, writer);
+    return os.str();
+  };
+  const std::string want = jsonl_via(*make_sweep_backend("inproc"));
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(jsonl_via(*backend), want);
 }
 
 TEST_F(ServiceTest, SigkilledWorkerProcessIsToleratedBitIdentically) {
@@ -586,12 +589,54 @@ TEST_F(ServiceTest, AllWorkersDeadSurfacesTheCause) {
   } catch (const SweepBackendError& e) {
     EXPECT_EQ(e.backend(), "socket");
     EXPECT_NE(e.cause().find("all socket workers died"), std::string::npos);
-    // Satellite guarantee: the error carries the worker's stderr like the
-    // subprocess backend's does.
+    // The error carries the dead worker's stderr.
     EXPECT_NE(e.cause().find("child stderr: worker exploded"),
               std::string::npos)
         << e.cause();
   }
+}
+
+TEST_F(ServiceTest, MissingWorkerBinarySurfacesExecFailure) {
+  const SweepBackendPtr backend = make_sweep_backend(
+      "socket:workers=1",
+      {{"bin", (dir_ / "no_such_cli").string()}, {"dir", dir_.string()}});
+  const SweepPlan plan(small_config());
+  RecordSink sink;
+  try {
+    backend->run(plan, sink);
+    FAIL() << "a missing binary must not produce a result";
+  } catch (const SweepBackendError& e) {
+    EXPECT_NE(e.cause().find("could not execute"), std::string::npos)
+        << e.cause();
+  }
+}
+
+TEST_F(ServiceTest, UnrepresentableConfigFailsFastOnFingerprint) {
+  // A programmatic tweak the CLI flag grammar cannot express: every worker
+  // rebuilds the default paper workload, its fingerprint disagrees, and the
+  // coordinator rejects it before leasing anything.  The run must fail at
+  // once, not wait out a lease timeout, and the cause must name the
+  // mismatch — the worker's stderr tail alone is too short to carry it.
+  FigureConfig config = small_config();
+  config.workloads.clear();  // paper-configured cell => params are identity
+  config.scenarios.clear();
+  config.workload.task_min = 17;
+  const SweepPlan plan(config);
+  const SweepBackendPtr backend = make_sweep_backend(
+      "socket:workers=2", {{"bin", cli_path()}, {"dir", dir_.string()}});
+  RecordSink sink;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    backend->run(plan, sink);
+    FAIL() << "a fingerprint mismatch must not produce a result";
+  } catch (const SweepBackendError& e) {
+    EXPECT_EQ(e.backend(), "socket");
+    EXPECT_NE(e.cause().find("fingerprint mismatch"), std::string::npos)
+        << e.cause();
+  }
+  // Well inside the 30 s default lease timeout.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_TRUE(sink.ids.empty());
 }
 
 }  // namespace

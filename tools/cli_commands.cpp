@@ -449,10 +449,10 @@ int cmd_list_policies(const std::vector<std::string>& args,
 }
 
 // The sweep-grid option set, its FigureConfig translation and the --shard
-// chain applicator live in experiments/backend.hpp now (socket workers
-// rebuild their plan from the same flags); the CLI only adds the backend
-// resolution, which injects its own binary as the process-spawning
-// backends' default `bin` so `--backend subprocess` / `socket` just work.
+// chain applicator live in experiments/backend.hpp (socket workers rebuild
+// their plan from the same flags); the CLI only adds the backend
+// resolution, which injects its own binary as the socket backend's default
+// `bin` so `--backend socket` just works.
 SweepBackendPtr backend_from_cli(const CliParser& cli) {
   return make_sweep_backend(cli.get("backend"),
                             {{"bin", self_executable_path()}});
@@ -520,9 +520,10 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
                  "write the CSV (or JSONL shard) to this file (stdout when "
                  "empty)");
   cli.add_flag("ungrouped",
-               "evaluate per coordinate (legacy path: every cell reruns all "
-               "scheduler passes) instead of scheduling once per (workload, "
-               "granularity, rep) group; output is bit-identical either way");
+               "evaluate per coordinate (the in-process reference path: "
+               "every cell reruns all scheduler passes; inproc backend only) "
+               "instead of scheduling once per (workload, granularity, rep) "
+               "group; output is bit-identical either way");
   std::vector<const char*> argv{"sweep"};
   for (const auto& a : args) argv.push_back(a.c_str());
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) return 0;
@@ -614,14 +615,15 @@ int cmd_list_backends(const std::vector<std::string>& args,
     }
   }
   out << "\nspec syntax: name[:key=value[,key=value...]], e.g. "
-         "\"subprocess:workers=3,retries=1\" or\n"
+         "\"inproc:threads=4\" or\n"
          "\"socket:workers=3,manifest=/tmp/sweep-cache\"\n"
          "every backend delivers bit-identical samples in the same order, "
          "so CSV and\nJSONL shard output never depend on the backend "
          "choice; the socket backend is\nthe coordinator service "
          "(lease expiry, work stealing, resumable manifests) run\n"
          "in-process — 'serve' and 'worker' expose the same service as "
-         "long-running\ncommands\n";
+         "long-running\ncommands; without a coordinator, 'sweep --shard' "
+         "+ 'merge' split a grid\nacross machines\n";
   return 0;
 }
 
@@ -646,9 +648,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   cli.add_option("manifest-dir", "",
                  "journal completed units here for resumable sweeps");
   cli.add_option("out", "", "write the CSV to this file (stdout when empty)");
-  cli.add_flag("ungrouped",
-               "workers evaluate per coordinate instead of the grouped "
-               "schedule-once path (bit-identical either way)");
   std::vector<const char*> argv{"serve"};
   for (const auto& a : args) argv.push_back(a.c_str());
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) return 0;
@@ -661,7 +660,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   copts.lease = static_cast<std::size_t>(cli.get_int("lease"));
   copts.timeout = cli.get_double("timeout");
   copts.manifest_dir = cli.get("manifest-dir");
-  copts.group = !cli.get_flag("ungrouped");
 
   OnlineStatsSink sink(plan);
   Coordinator coordinator(plan, sink, copts);
@@ -798,7 +796,7 @@ std::string usage() {
       "  generate        emit a task graph (layered, gnp, fft, cholesky, ...)\n"
       "  info            structural statistics of a graph file\n"
       "  list-algos      registered scheduling algorithms and their options\n"
-      "  list-backends   sweep execution backends (inproc, subprocess, ...)\n"
+      "  list-backends   sweep execution backends (inproc, socket)\n"
       "  list-failure-laws  failure-model and crash-time laws for sweeps\n"
       "  list-policies   online rescheduling policies for sweeps\n"
       "  list-workloads  registered workload families and their options\n"
