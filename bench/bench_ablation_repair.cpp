@@ -1,4 +1,5 @@
-// Ablation: the MC-FTSA end-to-end fault-tolerance repair (DESIGN.md §2).
+// Ablation: the MC-FTSA end-to-end fault-tolerance repair
+// (McFtsaOptions::enforce_fault_tolerance in core/mc_ftsa.hpp).
 //
 // The paper's Prop. 4.3 guarantees only per-edge channel survival; our
 // exhaustive validator showed that the paper-faithful selection can lose a

@@ -36,7 +36,8 @@ struct McFtsaOptions {
   /// channel under ε failures, but with several predecessors one processor
   /// can be the selected source of two different replicas via two
   /// different edges, so a single crash may starve every replica of a task
-  /// — our exhaustive validator finds such counterexamples (see DESIGN.md).
+  /// — our exhaustive validator finds such counterexamples
+  /// (tests/test_mc_ftsa.cpp, McFtsa.RepairRestoresTheorem41).
   /// When true (default), the scheduler tracks per-replica kill sets and
   /// locally reverts a vulnerable task's inbound channels to the full
   /// channel set, restoring the theorem at the cost of a few extra

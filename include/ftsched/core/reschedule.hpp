@@ -68,8 +68,8 @@ class OnlineView {
                                                 std::size_t p) const = 0;
 };
 
-/// Policy callback invoked by ScheduleSimulator::run_online on every crash
-/// and repair event.
+/// Policy callback invoked by ScheduleSimulator::run_summary(failures,
+/// policy) on every crash and repair event.
 class ReschedulePolicy {
  public:
   virtual ~ReschedulePolicy() = default;

@@ -44,9 +44,9 @@ struct FigureConfig {
   /// Online-rescheduling policy dimension: PolicyRegistry specs ("none",
   /// "requeue-heft", "reactive-ftsa").  Empty = {"none"}, the static
   /// schedule replayed unchanged — byte-identical legacy streams, series
-  /// and shards.  A non-none policy reruns each drawn failure cell through
-  /// the online simulator (ScheduleSimulator::run_online), letting the
-  /// policy remap pending replicas on every crash/repair event.  With more
+  /// and shards.  A non-none policy reruns each drawn failure cell with the
+  /// policy live (ScheduleSimulator::run_summary(failures, policy)),
+  /// letting it remap pending replicas on every crash/repair event.  With more
   /// than one policy cell the series suffix grows a fourth part:
   /// "[workload|scenario|failure|policy]".
   std::vector<std::string> policies;

@@ -149,14 +149,30 @@ struct CellDraw {
   /// restarts at (unit_times[i] + unit_repair_delays[i]) × anchor on every
   /// simulate path, static replay and online policies alike.
   std::vector<double> unit_repair_delays;
+
+  /// The outages of the first `count` victims: each crashes at its unit
+  /// time scaled by `anchor` (a schedule's failure-free lower bound; unit
+  /// time 0 is the paper's t=0 worst case) and, under a repair law,
+  /// restarts its unit repair delay later on the same scale.  A delay that
+  /// rounds to no time at all at this anchor is recorded as never
+  /// repaired rather than as a zero-length outage.
+  [[nodiscard]] FailureScenario scenario(double anchor,
+                                         std::size_t count) const;
 };
 
-/// Draws one cell's randomness from `rng` — victims first, then unit
+/// Draws one cell's randomness from `rng` for a platform of `proc_count`
+/// processors tolerating `epsilon` crashes: victims first, then unit
 /// times — consuming exactly the stream simulate_instance_cell consumes.
 /// Models with new-in-PR-9 laws draw *after* the legacy stream: a burst law
 /// re-anchors the unit times on a common onset plus per-victim offsets, and
 /// a repair law appends the unit repair delays — so every pre-existing
 /// model's stream stays bit-identical.
+[[nodiscard]] CellDraw draw_cell(Rng& rng, std::size_t proc_count,
+                                 std::size_t epsilon,
+                                 const CrashTimeLaw& crash_law,
+                                 const FailureModel& failure_model);
+
+/// draw_cell on the platform and ε of `schedules`.
 [[nodiscard]] CellDraw draw_instance_cell(const InstanceSchedules& schedules,
                                           Rng& rng,
                                           const CrashTimeLaw& crash_law,
@@ -205,8 +221,8 @@ class SimulationCache {
 };
 
 /// Runs the simulate phase of one cell on a fixed draw: the static replay
-/// of each algorithm's schedule (ScheduleSimulator::run_online with no
-/// policy) under the drawn timeline — crashes, plus the repairs a repair
+/// of each algorithm's schedule (ScheduleSimulator::run_summary with no
+/// policy) under the drawn scenario — crashes, plus the repairs a repair
 /// law drew, so repaired processors resume their parked work.  With a
 /// cache, repeated draws are served from the memo.  The result is
 /// bit-identical with and without a cache.
@@ -215,9 +231,9 @@ class SimulationCache {
                                                SimulationCache* cache);
 
 /// Runs the *online* simulate phase of one cell on a fixed draw: per
-/// algorithm, builds the same failure timeline as simulate_drawn_cell
+/// algorithm, builds the same failure scenario as simulate_drawn_cell
 /// (repairs from draw.unit_repair_delays, or never) and executes
-/// ScheduleSimulator::run_online with `policy` reacting to
+/// ScheduleSimulator::run_summary with `policy` reacting to
 /// every crash/repair event.  Emits "DrawnCrashes" plus, per algorithm,
 /// "<A>-Success", "<A>-DrawnCrash"/"OH-<A>-DrawnCrash" on success, and
 /// "<A>-Moves" — the same graceful-degradation layout as a non-default
@@ -244,7 +260,7 @@ class SimulationCache {
 /// shared across algorithms (and truncated for smaller crash counts), so
 /// every curve faces the same failures.
 ///
-/// Emitted series (see DESIGN.md §4): per algorithm <A>,
+/// Emitted series: per algorithm <A>,
 ///   <A>-LowerBound, <A>-UpperBound, <A>-<k>Crash (k in crash_counts),
 ///   Msg-<A>, and OH- overhead twins (relative to FaultFree-FTSA, in
 ///   percent) of the crash series and (per flag) the lower bound; plus the

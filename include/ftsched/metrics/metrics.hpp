@@ -19,7 +19,7 @@ namespace ftsched {
 /// graphs).  The paper plots "normalized latency" without defining the
 /// normalization; a granularity-invariant unit is required to reproduce
 /// the figures' rising-with-granularity shape, and communication costs are
-/// exactly what the granularity sweep holds fixed (see DESIGN.md).
+/// exactly what the granularity sweep holds fixed.
 [[nodiscard]] double normalized_latency(double latency,
                                         const CostModel& costs);
 

@@ -1,9 +1,12 @@
 // Fail-silent (fail-stop) processor failure scenarios (paper §1, §6).
 //
-// A scenario is a set of (processor, crash time) pairs.  A crashed processor
-// executes nothing whose finish time exceeds its crash time and sends no
-// messages after it.  crash time 0 models a processor dead from the start —
-// the worst case used for the paper's "crash" curves.
+// A scenario is a set of processor outages.  A crashed processor executes
+// nothing whose finish time exceeds its crash time and sends no messages
+// after it.  Crash time 0 models a processor dead from the start — the
+// worst case used for the paper's "crash" curves.  An outage may end in a
+// repair: the processor restarts empty (all local state lost) and resumes
+// the replicas still queued on it.  Without repairs a scenario is the
+// paper's one-shot victim set.
 #pragma once
 
 #include <cstddef>
@@ -16,18 +19,20 @@
 
 namespace ftsched {
 
+/// One processor's outage: down from `time` until `repair`, where +infinity
+/// means the crash is permanent.
 struct Crash {
   ProcId proc;
   double time = 0.0;
+  double repair = std::numeric_limits<double>::infinity();
 };
 
 class FailureScenario {
  public:
-  FailureScenario() = default;
-  explicit FailureScenario(std::vector<Crash> crashes);
-
-  /// Adds a crash; a processor may appear at most once.
-  void add(ProcId proc, double time = 0.0);
+  /// Adds an outage.  A processor may appear at most once, and a finite
+  /// repair must come strictly after the crash.
+  void add(ProcId proc, double time = 0.0,
+           double repair = std::numeric_limits<double>::infinity());
 
   [[nodiscard]] std::size_t crash_count() const noexcept {
     return crashes_.size();
@@ -36,6 +41,9 @@ class FailureScenario {
     return crashes_;
   }
 
+  /// True iff any outage ends in a finite repair.
+  [[nodiscard]] bool has_repairs() const noexcept;
+
   /// Crash time of `proc`, or +infinity if it never fails.
   [[nodiscard]] double crash_time(ProcId proc) const noexcept;
 
@@ -43,57 +51,13 @@ class FailureScenario {
     return crash_time(proc) < std::numeric_limits<double>::infinity();
   }
 
-  /// True iff `proc` is alive at `time` (strictly before its crash).
-  [[nodiscard]] bool alive_at(ProcId proc, double time) const noexcept {
-    return time < crash_time(proc);
-  }
+  /// True iff `proc` is up at `time`: outside its [crash, repair) window.
+  [[nodiscard]] bool alive_at(ProcId proc, double time) const noexcept;
 
  private:
+  [[nodiscard]] const Crash* find(ProcId proc) const noexcept;
+
   std::vector<Crash> crashes_;
-};
-
-/// One processor's downtime window: it crashes at `crash_time` and — when
-/// `repair_time` is finite — comes back empty (restarted, all local state
-/// lost) at `repair_time`.  +infinity means the crash is permanent, which
-/// makes a repair-free timeline equivalent to a FailureScenario.
-struct ProcOutage {
-  ProcId proc;
-  double crash_time = 0.0;
-  double repair_time = std::numeric_limits<double>::infinity();
-};
-
-/// A failure *timeline*: the generalisation of FailureScenario the online
-/// (policy-driven) simulator consumes.  Where a scenario is a one-shot
-/// victim set, a timeline orders crash and repair events on the time axis,
-/// so repair/restart failure dynamics (`repair:mttr=`, `burst:`) become
-/// expressible.  Repair-free timelines round-trip to scenarios exactly.
-class FailureTimeline {
- public:
-  FailureTimeline() = default;
-
-  /// Adds an outage; a processor may appear at most once and its repair
-  /// (when finite) must come strictly after its crash.
-  void add(ProcId proc, double crash_time,
-           double repair_time = std::numeric_limits<double>::infinity());
-
-  [[nodiscard]] const std::vector<ProcOutage>& outages() const noexcept {
-    return outages_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return outages_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return outages_.size(); }
-
-  /// True iff any outage ends in a finite repair.
-  [[nodiscard]] bool has_repairs() const noexcept;
-
-  /// Embeds a one-shot victim set as a timeline of permanent crashes.
-  [[nodiscard]] static FailureTimeline from_scenario(
-      const FailureScenario& scenario);
-
-  /// Drops the repair half: the conservative static view of this timeline.
-  [[nodiscard]] FailureScenario crashes_only() const;
-
- private:
-  std::vector<ProcOutage> outages_;
 };
 
 /// `count` distinct victims drawn uniformly from the m processors, all
@@ -172,8 +136,8 @@ class CrashTimeLaw {
 ///                    guarantee (the ROADMAP's probabilistic-failure item)
 ///   repair:mttr=M    bernoulli victims (p=P, default 0.1) whose crashes
 ///                    are *transient*: each victim restarts after an
-///                    Exponential(mean M) unit delay, producing a failure
-///                    timeline instead of a one-shot victim set
+///                    Exponential(mean M) unit delay, producing a
+///                    scenario with repairs instead of a one-shot victim set
 ///   burst:p=P        time-correlated bernoulli burst: all victims crash
 ///                    within a window of `width` (unit, default 0.25) after
 ///                    a common onset drawn from the crash-time law; an
@@ -244,7 +208,7 @@ class FailureModel {
                                               std::size_t epsilon) const;
 
   /// True when crashes are transient (mttr set): victims restart, so cells
-  /// under this model carry a failure timeline rather than a victim set.
+  /// under this model carry repairs as well as crashes.
   [[nodiscard]] bool has_repair() const noexcept { return repair_mttr_ > 0; }
   /// Mean unit time to repair (Exponential mean); 0 when has_repair() is
   /// false.

@@ -1,7 +1,7 @@
 // Discrete-event execution of a replicated schedule under fail-stop
 // processor crashes (the paper's §6 "crash" experiments).
 //
-// Semantics (documented in DESIGN.md):
+// Semantics:
 //  * each processor executes its replicas in scheduled order, data-driven:
 //    a replica starts once the processor is free and every incoming edge
 //    has delivered at least one message (first input wins, Prop. 4.2);
@@ -10,6 +10,9 @@
 //  * a replica is *cancelled* (and skipped, unblocking its processor) when
 //    for some incoming edge every channel source is dead or cancelled —
 //    i.e. when it provably can never become ready;
+//  * a processor whose outage ends in a repair restarts empty at the repair
+//    time: the replica it was running is lost, the pending replicas still
+//    queued on it were parked through the outage and resume in order;
 //  * the run succeeds when every exit task has a completed replica; the
 //    achieved latency is then max over exit tasks of the earliest completed
 //    replica finish time.
@@ -68,14 +71,14 @@ struct SimulationOptions {
 /// flat replica arrays, CSR channel fan-out lists, the sorted per-processor
 /// execution queues — and each run resets just the dynamic state, so
 /// simulating the same schedule under many failure scenarios (crash
-/// counts, sweep cells) skips the per-call rebuild the one-shot simulate()
-/// pays.  run() is bit-identical to simulate() with the same arguments.
+/// counts, sweep cells, validator subsets) skips the per-call rebuild.
 ///
-/// Every entry drives one event loop from a list of processor outages: a
-/// FailureScenario is a list of permanent crashes, a FailureTimeline may
-/// add repairs, and a rescheduling policy, when one is live, is consulted
-/// on every crash and repair.  Without a policy the loop replays the static
-/// schedule; a repaired processor resumes the replicas it parked.
+/// There is one run method: run_summary(failures, policy) drives one event
+/// loop from the scenario's outages — permanent crashes and, optionally,
+/// repairs — and, when a rescheduling policy is live, consults it on every
+/// crash and repair.  Without a policy the loop replays the static
+/// schedule; a repaired processor resumes the replicas it parked.  The
+/// per-replica detail of the last run is opt-in through result().
 ///
 /// All dynamic state is structure-of-arrays: flat parallel arrays indexed
 /// by a build-once replica numbering (status bytes, in-edge satisfaction
@@ -99,31 +102,27 @@ class ScheduleSimulator {
   ScheduleSimulator(const ScheduleSimulator&) = delete;
   ScheduleSimulator& operator=(const ScheduleSimulator&) = delete;
 
-  /// Executes the schedule under `failures` and returns the outcome.
-  [[nodiscard]] SimulationResult run(const FailureScenario& failures = {});
-
-  /// Success + achieved latency of one run, computed exactly like run()'s
-  /// (same event loop, same doubles) but without materialising the
-  /// per-replica outcome lists — the right call for tight simulate-many
-  /// loops that only chart latencies.
+  /// Success + achieved latency of one run.  result() folds the same
+  /// doubles, so the two agree bit for bit.
   struct Summary {
     bool success = false;
     double latency = std::numeric_limits<double>::infinity();
     std::size_t moves = 0;    ///< replica moves applied by the policy
     std::size_t repairs = 0;  ///< repair events applied
   };
-  [[nodiscard]] Summary run_summary(const FailureScenario& failures = {});
 
-  /// Executes the schedule under a failure *timeline* (crashes with
-  /// optional repairs) and calls back into `policy` on every crash and
-  /// repair event, applying the moves it emits (core/reschedule.hpp).  A
-  /// null or no-op policy is never consulted: the run is the static replay,
-  /// bit-identical to run_summary(timeline.crashes_only()) when the
-  /// timeline has no repairs.  A repair restarts the processor with its
+  /// Executes the schedule under `failures` and calls back into `policy`
+  /// on every crash and repair, applying the moves it emits
+  /// (core/reschedule.hpp).  A null or no-op policy is never consulted: the
+  /// run is the static replay.  A repair restarts the processor with its
   /// remaining queue: pending replicas are parked through the outage
   /// instead of dying.
-  [[nodiscard]] Summary run_online(const FailureTimeline& timeline,
-                                   ReschedulePolicy* policy = nullptr);
+  [[nodiscard]] Summary run_summary(const FailureScenario& failures = {},
+                                    ReschedulePolicy* policy = nullptr);
+
+  /// Per-replica outcomes and counters of the last run_summary() call
+  /// (before the first run: every replica not started).
+  [[nodiscard]] SimulationResult result() const;
 
  private:
   class Impl;
@@ -133,8 +132,8 @@ class ScheduleSimulator {
 /// Executes `schedule` under `failures` and returns the outcome.
 /// The schedule is not modified; any number of crashes is allowed (with
 /// more than ε the run may legitimately fail).  One-shot convenience over
-/// ScheduleSimulator: callers simulating one schedule repeatedly should
-/// construct the simulator once instead.
+/// ScheduleSimulator (construct, run_summary, result): callers simulating
+/// one schedule repeatedly should construct the simulator once instead.
 [[nodiscard]] SimulationResult simulate(const ReplicatedSchedule& schedule,
                                         const FailureScenario& failures = {},
                                         const SimulationOptions& options = {});

@@ -15,28 +15,6 @@ namespace ftsched {
 
 namespace {
 
-/// The failure timeline of the first `count` victims of `draw`: each
-/// crashes at its unit time scaled by `anchor` (the schedule's failure-free
-/// lower bound; unit time 0 = the paper's t=0 worst case) and, under a
-/// repair law, restarts its unit repair delay later on the same scale.  A
-/// degenerate zero-length outage (a delay that rounds to no time at all at
-/// this anchor) is recorded as never repaired rather than violating the
-/// timeline's repair > crash contract.
-FailureTimeline make_timeline(const CellDraw& draw, double anchor,
-                              std::size_t count) {
-  FailureTimeline timeline;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double crash = draw.unit_times[i] * anchor;
-    double repair = std::numeric_limits<double>::infinity();
-    if (i < draw.unit_repair_delays.size()) {
-      const double candidate = crash + draw.unit_repair_delays[i] * anchor;
-      if (candidate > crash) repair = candidate;
-    }
-    timeline.add(ProcId{draw.victims[i]}, crash, repair);
-  }
-  return timeline;
-}
-
 /// Resolves a registry spec, injecting the instance's epsilon and seed as
 /// defaults for algorithms that take them (explicit spec options win).
 SchedulerPtr make_instance_scheduler(const std::string& spec,
@@ -46,6 +24,20 @@ SchedulerPtr make_instance_scheduler(const std::string& spec,
 }
 
 }  // namespace
+
+FailureScenario CellDraw::scenario(double anchor, std::size_t count) const {
+  FailureScenario failures;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double crash = unit_times[i] * anchor;
+    double repair = std::numeric_limits<double>::infinity();
+    if (i < unit_repair_delays.size()) {
+      const double candidate = crash + unit_repair_delays[i] * anchor;
+      if (candidate > crash) repair = candidate;
+    }
+    failures.add(ProcId{victims[i]}, crash, repair);
+  }
+  return failures;
+}
 
 std::vector<InstanceAlgo> default_instance_algos(
     const InstanceOptions& options) {
@@ -158,24 +150,22 @@ InstanceSchedules build_instance_schedules(const Workload& workload,
   return out;
 }
 
-CellDraw draw_instance_cell(const InstanceSchedules& schedules, Rng& rng,
-                            const CrashTimeLaw& crash_law,
-                            const FailureModel& failure_model) {
-  const std::size_t m = schedules.workload->platform().proc_count();
-
+CellDraw draw_cell(Rng& rng, std::size_t proc_count, std::size_t epsilon,
+                   const CrashTimeLaw& crash_law,
+                   const FailureModel& failure_model) {
   // Shared crash victims and unit crash instants for this instance: every
   // algorithm's curve faces the same failures.  The default failure model
   // draws exactly the legacy sample_without_replacement(m, ε), and the
   // default t=0 law draws nothing, keeping legacy streams bit-identical.
   CellDraw draw;
-  draw.victims = failure_model.draw(rng, m, schedules.epsilon);
+  draw.victims = failure_model.draw(rng, proc_count, epsilon);
   draw.unit_times = crash_law.sample(rng, draw.victims.size());
   draw.default_model = failure_model.is_default();
   // New-in-PR-9 laws draw strictly after the legacy stream, so every
   // pre-existing model keeps its exact draws.  A burst law correlates the
   // crash instants: common onset (the first drawn unit time) plus a
   // uniform per-victim offset.  A repair law appends per-victim restart
-  // delays, which make_timeline anchors on every simulate path.
+  // delays, which CellDraw::scenario anchors on every simulate path.
   const std::size_t count = draw.victims.size();
   if (failure_model.is_burst() && count > 0) {
     const double onset = draw.unit_times.front();
@@ -189,6 +179,13 @@ CellDraw draw_instance_cell(const InstanceSchedules& schedules, Rng& rng,
     draw.unit_repair_delays = failure_model.sample_repair_delays(rng, count);
   }
   return draw;
+}
+
+CellDraw draw_instance_cell(const InstanceSchedules& schedules, Rng& rng,
+                            const CrashTimeLaw& crash_law,
+                            const FailureModel& failure_model) {
+  return draw_cell(rng, schedules.workload->platform().proc_count(),
+                   schedules.epsilon, crash_law, failure_model);
 }
 
 SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
@@ -258,7 +255,7 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
       }
       // No policy: the static replay, with the draw's repairs honoured.
       summaries[i] =
-          a.simulator->run_online(make_timeline(draw, anchor, counts[i]));
+          a.simulator->run_summary(draw.scenario(anchor, counts[i]));
       if (cache != nullptr) {
         cache->memo_.emplace(std::move(key), summaries[i]);
         ++cache->stats_.simulations;
@@ -313,10 +310,10 @@ SeriesSample simulate_online_cell(const InstanceSchedules& schedules,
 
   for (const InstanceSchedules::Algo& a : schedules.algos) {
     const double anchor = a.schedule->lower_bound();
-    const FailureTimeline timeline = make_timeline(draw, anchor, drawn);
+    const FailureScenario failures = draw.scenario(anchor, drawn);
     policy.prepare(*a.schedule);
     const ScheduleSimulator::Summary result =
-        a.simulator->run_online(timeline, &policy);
+        a.simulator->run_summary(failures, &policy);
     // Past-ε failures are legitimate here just as under a non-default
     // static model: record the success indicator and gate the latency
     // series on it.  (With a live policy even ≤ ε crashes carry no

@@ -39,6 +39,17 @@ std::size_t parse_size(const std::string& key, const std::string& value) {
   return static_cast<std::size_t>(spec_detail::parse_u64(key, value));
 }
 
+/// hex_to_double naming the field and line that held a malformed literal.
+double parse_hex(const char* key, const std::string& value,
+                 const std::string& where) {
+  try {
+    return hex_to_double(value);
+  } catch (const Error&) {
+    throw InvalidArgument(where + ": field '" + key +
+                          "' is not a hex-float literal: '" + value + "'");
+  }
+}
+
 /// Exact rendition of every PaperWorkloadParams field the paper cell's
 /// generator reads (proc count and granularity come from the sweep point,
 /// which the header already captures).  Empty when the grid has no
@@ -184,10 +195,10 @@ ShardRecord shard_record_from(const FlatJsonObject& object,
   record.series = object.field("series", where);
   record.stats = OnlineStats::from_parts(
       parse_size("n", object.field("n", where)),
-      hex_to_double(object.field("mean", where)),
-      hex_to_double(object.field("m2", where)),
-      hex_to_double(object.field("min", where)),
-      hex_to_double(object.field("max", where)));
+      parse_hex("mean", object.field("mean", where), where),
+      parse_hex("m2", object.field("m2", where), where),
+      parse_hex("min", object.field("min", where), where),
+      parse_hex("max", object.field("max", where), where));
   return record;
 }
 
@@ -264,7 +275,7 @@ ShardFile read_shard(std::istream& in, const std::string& name) {
       }
       for (const std::string& g :
            split_semicolons(object.field("granularities", where))) {
-        h.granularities.push_back(hex_to_double(g));
+        h.granularities.push_back(parse_hex("granularities", g, where));
       }
       h.workloads = split_semicolons(object.field("workloads", where));
       h.scenarios = split_semicolons(object.field("scenarios", where));

@@ -22,6 +22,7 @@ double exact_reliability(const ReplicatedSchedule& schedule,
   const std::size_t m = schedule.platform().proc_count();
   check_probs(m, fail_prob);
   FTSCHED_REQUIRE(m <= 20, "exact_reliability limited to 20 processors");
+  ScheduleSimulator simulator(schedule);
   double reliability = 0.0;
   for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
     double prob = 1.0;
@@ -35,7 +36,7 @@ double exact_reliability(const ReplicatedSchedule& schedule,
       }
     }
     if (prob == 0.0) continue;
-    if (simulate(schedule, scenario).success) reliability += prob;
+    if (simulator.run_summary(scenario).success) reliability += prob;
   }
   return reliability;
 }
@@ -46,6 +47,7 @@ ReliabilityEstimate monte_carlo_reliability(
   const std::size_t m = schedule.platform().proc_count();
   check_probs(m, fail_prob);
   FTSCHED_REQUIRE(samples > 0, "need at least one sample");
+  ScheduleSimulator simulator(schedule);
   ReliabilityEstimate estimate;
   estimate.samples = samples;
   double latency_sum = 0.0;
@@ -55,7 +57,7 @@ ReliabilityEstimate monte_carlo_reliability(
     for (std::size_t p = 0; p < m; ++p) {
       if (rng.bernoulli(fail_prob[p])) scenario.add(ProcId{p}, 0.0);
     }
-    const SimulationResult result = simulate(schedule, scenario);
+    const ScheduleSimulator::Summary result = simulator.run_summary(scenario);
     if (result.success) {
       ++successes;
       latency_sum += result.latency;

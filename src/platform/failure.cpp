@@ -11,53 +11,39 @@
 
 namespace ftsched {
 
-FailureScenario::FailureScenario(std::vector<Crash> crashes) {
-  for (const Crash& c : crashes) add(c.proc, c.time);
-}
-
-void FailureScenario::add(ProcId proc, double time) {
+void FailureScenario::add(ProcId proc, double time, double repair) {
   FTSCHED_REQUIRE(proc.valid(), "invalid processor id");
   FTSCHED_REQUIRE(time >= 0.0, "crash time must be non-negative");
-  FTSCHED_REQUIRE(!is_failed(proc), "processor already crashes in scenario");
-  crashes_.push_back(Crash{proc, time});
-}
-
-double FailureScenario::crash_time(ProcId proc) const noexcept {
-  for (const Crash& c : crashes_) {
-    if (c.proc == proc) return c.time;
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-void FailureTimeline::add(ProcId proc, double crash_time, double repair_time) {
-  FTSCHED_REQUIRE(proc.valid(), "invalid processor id");
-  FTSCHED_REQUIRE(crash_time >= 0.0, "crash time must be non-negative");
-  FTSCHED_REQUIRE(repair_time > crash_time,
+  FTSCHED_REQUIRE(repair == std::numeric_limits<double>::infinity() ||
+                      repair > time,
                   "repair must come strictly after the crash");
-  for (const ProcOutage& o : outages_) {
-    FTSCHED_REQUIRE(o.proc != proc, "processor already crashes in timeline");
-  }
-  outages_.push_back(ProcOutage{proc, crash_time, repair_time});
+  FTSCHED_REQUIRE(find(proc) == nullptr,
+                  "processor already crashes in scenario");
+  crashes_.push_back(Crash{proc, time, repair});
 }
 
-bool FailureTimeline::has_repairs() const noexcept {
-  for (const ProcOutage& o : outages_) {
-    if (o.repair_time < std::numeric_limits<double>::infinity()) return true;
+const Crash* FailureScenario::find(ProcId proc) const noexcept {
+  for (const Crash& c : crashes_) {
+    if (c.proc == proc) return &c;
+  }
+  return nullptr;
+}
+
+bool FailureScenario::has_repairs() const noexcept {
+  for (const Crash& c : crashes_) {
+    if (c.repair < std::numeric_limits<double>::infinity()) return true;
   }
   return false;
 }
 
-FailureTimeline FailureTimeline::from_scenario(
-    const FailureScenario& scenario) {
-  FailureTimeline timeline;
-  for (const Crash& c : scenario.crashes()) timeline.add(c.proc, c.time);
-  return timeline;
+double FailureScenario::crash_time(ProcId proc) const noexcept {
+  const Crash* c = find(proc);
+  return c == nullptr ? std::numeric_limits<double>::infinity() : c->time;
 }
 
-FailureScenario FailureTimeline::crashes_only() const {
-  FailureScenario scenario;
-  for (const ProcOutage& o : outages_) scenario.add(o.proc, o.crash_time);
-  return scenario;
+bool FailureScenario::alive_at(ProcId proc, double time) const noexcept {
+  const Crash* c = find(proc);
+  return c == nullptr || time < c->time || time >= c->repair;
 }
 
 FailureScenario random_crashes(Rng& rng, std::size_t proc_count,

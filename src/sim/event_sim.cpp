@@ -97,47 +97,20 @@ class ScheduleSimulator::Impl {
     build_static();
   }
 
-  SimulationResult run(const FailureScenario& failures) {
-    drive(failures);
-    return collect();
-  }
-
-  ScheduleSimulator::Summary run_summary(const FailureScenario& failures) {
-    drive(failures);
-    return summarize();
-  }
-
-  ScheduleSimulator::Summary run_online(const FailureTimeline& timeline,
-                                        ReschedulePolicy* policy) {
-    drive(timeline.outages(), policy);
-    return summarize();
-  }
-
- private:
-  /// A scenario is a timeline of permanent crashes, staged in a retained
-  /// scratch list.
-  void drive(const FailureScenario& failures) {
-    scenario_outages_.clear();
-    for (const Crash& c : failures.crashes()) {
-      scenario_outages_.push_back(ProcOutage{c.proc, c.time});
-    }
-    drive(scenario_outages_, nullptr);
-  }
-
-  void drive(const std::vector<ProcOutage>& outages,
-             ReschedulePolicy* policy) {
+  ScheduleSimulator::Summary run_summary(const FailureScenario& failures,
+                                         ReschedulePolicy* policy) {
     reset();
     if (policy != nullptr) policy->begin_run();
     // A no-op policy is never consulted: no view construction, no moves.
     policy_ = (policy == nullptr || policy->is_noop()) ? nullptr : policy;
     const std::size_t m = platform_.proc_count();
-    for (const ProcOutage& o : outages) {
-      FTSCHED_REQUIRE(o.proc.index() < m, "outage names an unknown processor");
-      const auto p = static_cast<std::uint32_t>(o.proc.index());
-      push(Event{o.crash_time, seq_++, p, 0, EventType::kCrash});
-      if (o.repair_time < kInf) {
-        repair_at_[p] = o.repair_time;
-        push(Event{o.repair_time, seq_++, p, 0, EventType::kRepair});
+    for (const Crash& c : failures.crashes()) {
+      FTSCHED_REQUIRE(c.proc.index() < m, "outage names an unknown processor");
+      const auto p = static_cast<std::uint32_t>(c.proc.index());
+      push(Event{c.time, seq_++, p, 0, EventType::kCrash});
+      if (c.repair < kInf) {
+        repair_at_[p] = c.repair;
+        push(Event{c.repair, seq_++, p, 0, EventType::kRepair});
       }
     }
     for (std::size_t p = 0; p < m; ++p) {
@@ -160,8 +133,10 @@ class ScheduleSimulator::Impl {
           break;
       }
     }
+    return summarize();
   }
 
+ private:
   // --- static structure (depends only on the schedule) ----------------------
 
   void build_static() {
@@ -618,7 +593,7 @@ class ScheduleSimulator::Impl {
   // --- results --------------------------------------------------------------
 
   /// Success + achieved latency straight off the flat state arrays: the
-  /// latency fold of collect() without materialising per-replica outcomes.
+  /// latency fold of result() without materialising per-replica outcomes.
   ScheduleSimulator::Summary summarize() const {
     ScheduleSimulator::Summary s;
     s.moves = moves_applied_;
@@ -643,7 +618,9 @@ class ScheduleSimulator::Impl {
     return s;
   }
 
-  SimulationResult collect() const {
+ public:
+  /// The last run's per-replica outcomes and counters.
+  SimulationResult result() const {
     SimulationResult r;
     r.outcomes.resize(g_.task_count());
     for (TaskId t : g_.tasks()) {
@@ -691,6 +668,7 @@ class ScheduleSimulator::Impl {
     return r;
   }
 
+ private:
   const ReplicatedSchedule& schedule_;
   SimulationOptions options_;
   const TaskGraph& g_;
@@ -738,7 +716,6 @@ class ScheduleSimulator::Impl {
   std::size_t repairs_applied_ = 0;
   ReschedulePolicy* policy_ = nullptr;  ///< live policy of the current run
   std::vector<ReplicaMove> moves_scratch_;
-  std::vector<ProcOutage> scenario_outages_;  ///< run()/run_summary() input
 };
 
 ScheduleSimulator::ScheduleSimulator(const ReplicatedSchedule& schedule,
@@ -750,24 +727,19 @@ ScheduleSimulator::ScheduleSimulator(ScheduleSimulator&&) noexcept = default;
 ScheduleSimulator& ScheduleSimulator::operator=(ScheduleSimulator&&) noexcept =
     default;
 
-SimulationResult ScheduleSimulator::run(const FailureScenario& failures) {
-  return impl_->run(failures);
-}
-
 ScheduleSimulator::Summary ScheduleSimulator::run_summary(
-    const FailureScenario& failures) {
-  return impl_->run_summary(failures);
+    const FailureScenario& failures, ReschedulePolicy* policy) {
+  return impl_->run_summary(failures, policy);
 }
 
-ScheduleSimulator::Summary ScheduleSimulator::run_online(
-    const FailureTimeline& timeline, ReschedulePolicy* policy) {
-  return impl_->run_online(timeline, policy);
-}
+SimulationResult ScheduleSimulator::result() const { return impl_->result(); }
 
 SimulationResult simulate(const ReplicatedSchedule& schedule,
                           const FailureScenario& failures,
                           const SimulationOptions& options) {
-  return ScheduleSimulator(schedule, options).run(failures);
+  ScheduleSimulator simulator(schedule, options);
+  (void)simulator.run_summary(failures);
+  return simulator.result();
 }
 
 }  // namespace ftsched

@@ -13,10 +13,11 @@ ValidationReport validate_fault_tolerance(const ReplicatedSchedule& schedule,
   ValidationReport report;
   const double upper = schedule.upper_bound();
   const std::size_t m = schedule.platform().proc_count();
+  ScheduleSimulator simulator(schedule, options.sim);
   for (std::size_t k = 0; k <= schedule.epsilon(); ++k) {
     for (const FailureScenario& scenario : all_crash_subsets(m, k)) {
-      const SimulationResult result =
-          simulate(schedule, scenario, SimulationOptions{options.sim});
+      const ScheduleSimulator::Summary result =
+          simulator.run_summary(scenario);
       ++report.scenarios_checked;
       auto describe = [&scenario](const char* what) {
         std::ostringstream os;

@@ -90,6 +90,9 @@ SpecOptions SpecOptions::parse(const std::string& text) {
   std::istringstream ss(text);
   std::string item;
   while (std::getline(ss, item, ',')) {
+    if (item.empty()) {
+      throw InvalidArgument("malformed options '" + text + "' (empty option)");
+    }
     const auto eq = item.find('=');
     if (eq == std::string::npos || eq == 0) {
       throw InvalidArgument("malformed option '" + item +

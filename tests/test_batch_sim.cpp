@@ -1,14 +1,17 @@
-// Build-once/SoA simulation engine equivalence (PR 6 tentpole): the
-// reusable ScheduleSimulator — run(), run_summary(), run_online() — must be
-// bit-exact with a fresh one-shot simulate() for every scenario, in every
-// order, on every comm model; and the cross-cell draw dedupe
+// Build-once/SoA simulation engine equivalence: a reused ScheduleSimulator's
+// run_summary() and its opt-in result() must be bit-exact with a fresh
+// one-shot simulate() for every scenario, in every order, on every comm
+// model, with and without repairs; and the cross-cell draw dedupe
 // (SimulationCache / simulate_drawn_cell) must fan cached Summaries out
 // without changing a single double, including graceful-degradation cells
 // whose draws exceed ε and repair-law cells whose repairs change outcomes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ftsched/core/ftsa.hpp"
@@ -37,13 +40,20 @@ std::unique_ptr<Workload> random_workload(Rng& rng, std::size_t procs,
 }
 
 /// A scenario of `count` random victims at random instants — beyond the
-/// tolerated ε half the time, so failure paths are exercised too.
-FailureScenario random_scenario(Rng& rng, std::size_t procs, double anchor) {
+/// tolerated ε half the time, so failure paths are exercised too.  With
+/// `repairs`, about half the victims restart after a random delay.
+FailureScenario random_scenario(Rng& rng, std::size_t procs, double anchor,
+                                bool repairs = false) {
   const std::size_t count = below(rng, procs);
   const auto victims = rng.sample_without_replacement(procs, count);
   FailureScenario scenario;
   for (const std::size_t v : victims) {
-    scenario.add(ProcId{v}, rng.uniform(0.0, 1.5) * anchor);
+    const double crash = rng.uniform(0.0, 1.5) * anchor;
+    double repair = std::numeric_limits<double>::infinity();
+    if (repairs && rng.bernoulli(0.5)) {
+      repair = crash + rng.uniform(0.05, 1.0) * anchor;
+    }
+    scenario.add(ProcId{v}, crash, repair);
   }
   return scenario;
 }
@@ -60,28 +70,34 @@ void expect_same(const ScheduleSimulator::Summary& got,
   }
 }
 
-/// Every entry of a reused simulator on one crash-only scenario: the
-/// summary, the full result and the policy-free timeline run.
-void expect_every_entry_same(ScheduleSimulator& sim,
-                             const FailureScenario& scenario,
-                             const SimulationResult& want) {
-  expect_same(sim.run_summary(scenario), want);
-  const SimulationResult rerun = sim.run(scenario);
+/// A reused simulator on one scenario: the summary of the run, then the
+/// opt-in per-replica result() of that same run.
+void expect_run_same(ScheduleSimulator& sim, const FailureScenario& scenario,
+                     const SimulationResult& want) {
+  const ScheduleSimulator::Summary summary = sim.run_summary(scenario);
+  expect_same(summary, want);
+  EXPECT_EQ(summary.moves, 0u);
+  const SimulationResult rerun = sim.result();
   EXPECT_EQ(rerun.success, want.success);
+  EXPECT_EQ(rerun.latency, want.latency);
   EXPECT_EQ(rerun.completed_replicas, want.completed_replicas);
   EXPECT_EQ(rerun.dead_replicas, want.dead_replicas);
   EXPECT_EQ(rerun.cancelled_replicas, want.cancelled_replicas);
   EXPECT_EQ(rerun.messages_delivered, want.messages_delivered);
-  const ScheduleSimulator::Summary online =
-      sim.run_online(FailureTimeline::from_scenario(scenario));
-  expect_same(online, want);
-  EXPECT_EQ(online.moves, 0u);
-  EXPECT_EQ(online.repairs, 0u);
+  ASSERT_EQ(rerun.outcomes.size(), want.outcomes.size());
+  for (std::size_t t = 0; t < want.outcomes.size(); ++t) {
+    ASSERT_EQ(rerun.outcomes[t].size(), want.outcomes[t].size());
+    for (std::size_t k = 0; k < want.outcomes[t].size(); ++k) {
+      EXPECT_EQ(rerun.outcomes[t][k].status, want.outcomes[t][k].status);
+      EXPECT_EQ(rerun.outcomes[t][k].start, want.outcomes[t][k].start);
+      EXPECT_EQ(rerun.outcomes[t][k].finish, want.outcomes[t][k].finish);
+    }
+  }
 }
 
 TEST(BatchSim, ReusedSimulatorMatchesFreshSimulatePerScenario) {
   proptest::check(
-      "run_summary / run / run_online == fresh simulate(), bit for bit",
+      "run_summary + result() == fresh simulate(), bit for bit",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 4 + below(rng, 4);
         const auto w = random_workload(rng, procs, 12 + below(rng, 20));
@@ -104,13 +120,43 @@ TEST(BatchSim, ReusedSimulatorMatchesFreshSimulatePerScenario) {
         // results must not depend on what ran before (the reset contract).
         ScheduleSimulator sim(s);
         for (std::size_t i = 0; i < scenarios.size(); ++i) {
-          expect_every_entry_same(sim, scenarios[i], fresh[i]);
+          expect_run_same(sim, scenarios[i], fresh[i]);
         }
         for (std::size_t i = scenarios.size(); i-- > 0;) {
-          expect_every_entry_same(sim, scenarios[i], fresh[i]);
+          expect_run_same(sim, scenarios[i], fresh[i]);
         }
       },
       {.iterations = 10});
+}
+
+TEST(BatchSim, SummaryAndResultAgreeUnderRepairs) {
+  // With repairs the parked-replica path runs: the Summary of a run and
+  // the result() read back from it must still fold the same doubles, and
+  // a reused simulator must match a fresh simulate() of the same scenario.
+  std::size_t repaired_runs = 0;
+  proptest::check(
+      "repairs: run_summary == result() == fresh simulate(), bit for bit",
+      [&repaired_runs](Rng& rng, std::uint64_t) {
+        const std::size_t procs = 4 + below(rng, 4);
+        const auto w = random_workload(rng, procs, 12 + below(rng, 20));
+        const std::size_t eps = 1 + below(rng, 2);
+        const auto s = ftsa_schedule(w->costs(), FtsaOptions{eps, 0});
+        ScheduleSimulator sim(s);
+        for (std::size_t i = 0; i < 8; ++i) {
+          const FailureScenario scenario =
+              random_scenario(rng, procs, s.lower_bound(), /*repairs=*/true);
+          const ScheduleSimulator::Summary summary = sim.run_summary(scenario);
+          const SimulationResult result = sim.result();
+          EXPECT_EQ(summary.success, result.success);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.latency),
+                    std::bit_cast<std::uint64_t>(result.latency));
+          if (summary.repairs > 0) ++repaired_runs;
+          expect_run_same(sim, scenario, simulate(s, scenario));
+        }
+      },
+      {.iterations = 10});
+  // Otherwise the property could pass without a single repair applied.
+  EXPECT_GT(repaired_runs, 0u);
 }
 
 TEST(BatchSim, ReusedSimulatorMatchesFreshSimulateUnderPortedComm) {
@@ -131,8 +177,7 @@ TEST(BatchSim, ReusedSimulatorMatchesFreshSimulateUnderPortedComm) {
         }
         ScheduleSimulator sim(s, options);
         for (const FailureScenario& scenario : scenarios) {
-          expect_every_entry_same(sim, scenario,
-                                  simulate(s, scenario, options));
+          expect_run_same(sim, scenario, simulate(s, scenario, options));
         }
       },
       {.iterations = 8});

@@ -11,6 +11,9 @@
 #include <sstream>
 
 #include "cli_commands.hpp"
+#include "ftsched/core/scheduler.hpp"
+#include "ftsched/experiments/runner.hpp"
+#include "ftsched/workload/workload_registry.hpp"
 #include "golden_test.hpp"
 
 namespace ftsched::cli {
@@ -188,6 +191,61 @@ TEST_F(CliTest, SimulateDrawsScenarioFromFailureModel) {
       run({"simulate", "--graph", graph_file_, "--failures", "meteor"});
   EXPECT_EQ(bogus.code, 1);
   EXPECT_NE(bogus.err.find("unknown failure model"), std::string::npos);
+}
+
+/// The lines `simulate` prints after the scenario header, from "success:".
+std::string simulate_report(const std::string& out) {
+  const auto pos = out.find("success:");
+  return pos == std::string::npos ? std::string() : out.substr(pos);
+}
+
+TEST_F(CliTest, SimulateFailuresHonourRepairs) {
+  // --failures draws like a t0 sweep cell: a repair law's victims restart,
+  // so a short mttr must not print the permanent-crash report of the
+  // bernoulli law that draws the very same victims.
+  const std::vector<std::string> base = {
+      "simulate", "--workload", "paper", "--procs", "10", "--epsilon", "1",
+      "--seed",   "3"};
+  auto simulate_with = [&base](const std::string& law) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), {"--failures", law});
+    return run(args);
+  };
+  const CliResult permanent = simulate_with("bernoulli:p=0.3");
+  const CliResult repaired = simulate_with("repair:p=0.3,mttr=0.01");
+  ASSERT_NE(permanent.code, 1) << permanent.err;
+  ASSERT_NE(repaired.code, 1) << repaired.err;
+  EXPECT_NE(simulate_report(repaired.out), simulate_report(permanent.out));
+
+  // The report is a library run of the same draw: the workload and the
+  // schedule from --seed, the draw from its derived stream, anchored on
+  // the schedule's lower bound.
+  Rng workload_rng(3);
+  const auto workload = make_workload_family("paper")->generate(
+      workload_rng, SweepPoint{1.0, 10});
+  const ReplicatedSchedule schedule =
+      make_scheduler("ftsa", {{"eps", "1"}, {"seed", "3"}})
+          ->run(workload->costs());
+  Rng draw_rng = Rng(3).derive(1);
+  const CellDraw draw =
+      draw_cell(draw_rng, 10, 1, CrashTimeLaw{},
+                FailureModel::parse("repair:p=0.3,mttr=0.01"));
+  const FailureScenario scenario =
+      draw.scenario(schedule.lower_bound(), draw.victims.size());
+  ASSERT_TRUE(scenario.has_repairs());
+  const SimulationResult r = simulate(schedule, scenario);
+  std::ostringstream want;
+  want << "success:              " << (r.success ? "yes" : "NO") << '\n';
+  if (r.success) {
+    want << "achieved latency:     " << r.latency << '\n';
+    want << "guaranteed bound M:   " << schedule.upper_bound() << '\n';
+  }
+  want << "completed replicas:   " << r.completed_replicas << '\n';
+  want << "dead replicas:        " << r.dead_replicas << '\n';
+  want << "cancelled replicas:   " << r.cancelled_replicas << '\n';
+  want << "messages delivered:   " << r.messages_delivered << '\n';
+  EXPECT_EQ(simulate_report(repaired.out), want.str());
+  EXPECT_EQ(repaired.code, r.success ? 0 : 2);
 }
 
 TEST_F(CliTest, ListFailureLawsShowsModelsAndCrashLaws) {

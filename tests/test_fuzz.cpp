@@ -1,11 +1,18 @@
 // Fuzz-style property tests: random mutations of valid schedules must be
-// caught by the validator; random graph serialization round trips; the
-// umbrella header compiles and exposes the API.
+// caught by the validator; random graph serialization round trips; mutated
+// outside input (spec strings, shard files, protocol frames) is accepted or
+// rejected with an ftsched::Error naming it; the umbrella header compiles
+// and exposes the API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "ftsched/ftsched.hpp"
+#include "proptest.hpp"
 
 namespace ftsched {
 namespace {
@@ -208,6 +215,240 @@ TEST_P(ScheduleIoFuzz, AllAlgorithmsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleIoFuzz,
                          ::testing::Values(21u, 22u, 23u, 24u));
+
+// ------------------------------------------------- outside-input mutations
+
+std::size_t below(Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// Bytes a mutation inserts or substitutes: the separators and number
+/// characters the parsers branch on, plus control and high bytes.
+constexpr char kAlphabet[] = ":,=;.-+eE0123456789xpk \"{}[]\\\n\t\x01\x7f\xff";
+
+/// One to three random edits of `input`: flip, insert, erase, duplicate a
+/// span, truncate, or splice two positions.
+std::string mutate(Rng& rng, std::string input) {
+  const std::size_t edits = 1 + below(rng, 3);
+  for (std::size_t i = 0; i < edits; ++i) {
+    const std::size_t at = input.empty() ? 0 : below(rng, input.size());
+    const char c = kAlphabet[below(rng, sizeof(kAlphabet) - 1)];
+    switch (below(rng, 6)) {
+      case 0:
+        if (!input.empty()) input[at] = c;
+        break;
+      case 1:
+        input.insert(input.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
+      case 2:
+        if (!input.empty()) input.erase(at, 1 + below(rng, 4));
+        break;
+      case 3:
+        if (!input.empty()) {
+          input.insert(at, input.substr(at, 1 + below(rng, 8)));
+        }
+        break;
+      case 4:
+        input.resize(at);
+        break;
+      default:
+        if (!input.empty()) {
+          std::swap(input[at], input[below(rng, input.size())]);
+        }
+        break;
+    }
+  }
+  return input;
+}
+
+/// True when `message` names the input: it contains `label` (the input's
+/// kind or file name) or quotes a non-empty fragment of `input`.  what()
+/// ends at the first NUL byte, so a quote that a NUL of the input cut
+/// short counts up to the end of the message.
+bool names_input(const std::string& message, const std::string& input,
+                 const std::string& label) {
+  if (message.find(label) != std::string::npos) return true;
+  for (std::size_t open = message.find('\''); open != std::string::npos;) {
+    std::size_t close = message.find('\'', open + 1);
+    if (close == std::string::npos) close = message.size();
+    const std::string fragment = message.substr(open + 1, close - open - 1);
+    if (!fragment.empty() && input.find(fragment) != std::string::npos) {
+      return true;
+    }
+    open = message.find('\'', close + 1);
+  }
+  return false;
+}
+
+using Parser = std::function<void(const std::string&)>;
+
+/// Feeds `input` to `parse`: it is accepted, or it throws an ftsched::Error
+/// that names it (names_input).  Any other exception is a failure.
+void expect_clean_outcome(const std::string& input, const std::string& label,
+                          const Parser& parse) {
+  try {
+    parse(input);
+  } catch (const Error& e) {
+    EXPECT_TRUE(names_input(e.what(), input, label))
+        << "error names neither '" << label << "' nor the input: " << e.what()
+        << "\n  input: " << input;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-ftsched exception: " << e.what()
+                  << "\n  input: " << input;
+  } catch (...) {
+    ADD_FAILURE() << "non-std exception\n  input: " << input;
+  }
+}
+
+/// Checks every seed, then mutates each one 20 times per iteration.
+void fuzz_parser(const char* property, const std::vector<std::string>& seeds,
+                 const std::string& label, const Parser& parse) {
+  for (const std::string& seed : seeds) {
+    expect_clean_outcome(seed, label, parse);
+  }
+  proptest::check(
+      property,
+      [&](Rng& rng, std::uint64_t) {
+        for (const std::string& seed : seeds) {
+          for (int round = 0; round < 20; ++round) {
+            expect_clean_outcome(mutate(rng, seed), label, parse);
+          }
+        }
+      },
+      {.iterations = 20});
+}
+
+TEST(InputFuzz, FailureModelSpecs) {
+  fuzz_parser("mutated FailureModel specs: accepted or a clean Error",
+              {"eps", "fixed:k=3", "bernoulli:p=0.3", "repair:p=0.3,mttr=0.5",
+               "burst:p=0.2,width=0.25,mttr=0.5", "hetero:base=0.1,spread=1",
+               "domain:size=4", "bernoulli:p=0.1,domain=4"},
+              "failure model", [](const std::string& spec) {
+                // An accepted spec renders a canonical form that round-trips.
+                const std::string canonical =
+                    FailureModel::parse(spec).to_string();
+                EXPECT_EQ(FailureModel::parse(canonical).to_string(),
+                          canonical);
+              });
+}
+
+TEST(InputFuzz, CrashTimeLawSpecs) {
+  fuzz_parser("mutated CrashTimeLaw specs: accepted or a clean Error",
+              {"t0", "frac:f=0.5", "uniform:hi=1", "exp:mean=0.5"},
+              "crash law", [](const std::string& spec) {
+                const std::string canonical =
+                    CrashTimeLaw::parse(spec).to_string();
+                EXPECT_EQ(CrashTimeLaw::parse(canonical).to_string(),
+                          canonical);
+              });
+}
+
+TEST(InputFuzz, RegistrySpecs) {
+  fuzz_parser("mutated scheduler specs: accepted or a clean Error",
+              {"ftsa:eps=2,prio=bl", "mc-ftsa:selector=matching",
+               "ftbar:npf=1", "heft", "random:seed=5"},
+              "scheduler",
+              [](const std::string& spec) { (void)make_scheduler(spec); });
+  fuzz_parser("mutated workload specs: accepted or a clean Error",
+              {"paper:tmin=15,tmax=18", "fft:size=16", "chain:size=12",
+               "layered:tasks=25"},
+              "workload",
+              [](const std::string& spec) {
+                (void)make_workload_family(spec);
+              });
+  fuzz_parser("mutated policy specs: accepted or a clean Error",
+              {"none", "requeue-heft", "reactive-ftsa"}, "policy",
+              [](const std::string& spec) {
+                (void)make_reschedule_policy(spec);
+              });
+  fuzz_parser("mutated backend specs: accepted or a clean Error",
+              {"inproc:threads=2", "socket:workers=2,lease=5,bin=cli"},
+              "backend",
+              [](const std::string& spec) { (void)make_sweep_backend(spec); });
+}
+
+/// A complete shard of a small two-failure-cell plan.
+std::string small_shard_text() {
+  FigureConfig config = figure_config(1);
+  config.granularities = {0.5};
+  config.graphs_per_point = 1;
+  config.proc_count = 5;
+  config.workload.proc_count = 5;
+  config.seed = 3;
+  config.threads = 1;
+  config.failure_models = {"eps", "bernoulli:p=0.3"};
+  const SweepPlan plan(config);
+  std::ostringstream os;
+  ShardWriterSink sink(os, plan);
+  run_plan(plan, sink);
+  return os.str();
+}
+
+TEST(InputFuzz, ShardFiles) {
+  fuzz_parser("mutated shard files: read or a clean Error",
+              {small_shard_text()}, "fuzz.jsonl",
+              [](const std::string& text) {
+                std::istringstream in(text);
+                (void)read_shard(in, "fuzz.jsonl");
+              });
+}
+
+/// `payload` with its 4-byte big-endian length prefix.
+std::string frame(const std::string& payload) {
+  const auto n = static_cast<std::uint32_t>(payload.size());
+  std::string out;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>((n >> shift) & 0xff));
+  }
+  return out + payload;
+}
+
+TEST(InputFuzz, ProtocolFrames) {
+  // One conversation's worth of frames, decoded the way the coordinator
+  // and worker decode them: FrameDecoder, then the message head, then the
+  // typed fields (lease index lists, sample record lines).
+  std::istringstream shard(small_shard_text());
+  std::string header;
+  std::string record;
+  std::getline(shard, header);
+  std::getline(shard, record);
+  const std::string stream =
+      frame(msg_hello("worker0")) +
+      frame(msg_plan({"--figure", "1", "--graphs", "2"}, "", "abc123")) +
+      frame(msg_ready("abc123")) + frame(msg_lease_request()) +
+      frame(msg_lease(3, {0, 2, 5})) +
+      frame(msg_sample_head(3, 2) + "\n" + record) + frame(msg_done(3)) +
+      frame(msg_heartbeat()) + frame(msg_reject("fingerprint mismatch")) +
+      frame(msg_bye());
+  const auto parse_payload = [](const std::string& payload) {
+    const ServiceMessage msg = parse_service_message(payload, "peer 7");
+    if (msg.type == "lease") (void)parse_index_list(msg.field("ks"), msg.where);
+    for (const std::string& line : msg.record_lines) {
+      (void)parse_shard_record(line, msg.where);
+    }
+  };
+  std::size_t frames_seen = 0;
+  fuzz_parser("mutated frame streams: decoded or a clean Error", {stream},
+              "frame", [&](const std::string& bytes) {
+                FrameDecoder decoder;
+                // Feed in two chunks: a frame split across reads must
+                // decode exactly like one that arrives whole.
+                const std::size_t half = bytes.size() / 2;
+                decoder.feed(bytes.data(), half);
+                std::string payload;
+                for (int pass = 0; pass < 2; ++pass) {
+                  while (decoder.next(payload)) {
+                    ++frames_seen;
+                    expect_clean_outcome(payload, "peer 7", parse_payload);
+                  }
+                  if (pass == 0) {
+                    decoder.feed(bytes.data() + half, bytes.size() - half);
+                  }
+                }
+              });
+  EXPECT_GT(frames_seen, 0u);
+}
 
 }  // namespace
 }  // namespace ftsched

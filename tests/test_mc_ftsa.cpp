@@ -205,7 +205,8 @@ TEST(McFtsa, LowerBoundAtLeastFtsa) {
   EXPECT_GE(mc_sum, ftsa_sum * 0.999);
 }
 
-// Regression for the soundness gap we found in the paper (DESIGN.md §2):
+// Regression for the soundness gap we found in the paper (see
+// McFtsaOptions::enforce_fault_tolerance in core/mc_ftsa.hpp):
 // the paper-faithful per-edge selection produces schedules that a SINGLE
 // crash can break, and the repair fixes exactly those cases.
 TEST(McFtsa, RepairRestoresTheorem41) {

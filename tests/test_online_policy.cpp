@@ -1,9 +1,9 @@
-// Online rescheduling (PR 9 tentpole): the schedule→simulate inversion must
-// be a strict generalisation of the static path.  `policy=none` (or a null
-// policy) over a repair-free timeline is bit-exact with run_summary(); with
-// repairs, the sweep's static replay is exactly the `none` timeline run and
+// Online rescheduling: the schedule→simulate inversion must be a strict
+// generalisation of the static path.  `policy=none` and a null policy are
+// bit-exact with a fresh simulate() over a repair-free scenario; with
+// repairs, the sweep's static replay is exactly the `none` run and
 // ≤ ε repaired outages never fail; an
-// empty timeline makes *every* registered policy reproduce the static run;
+// empty scenario makes *every* registered policy reproduce the static run;
 // the policy sweep axis is deterministic across thread counts and the
 // grouped/ungrouped paths; the shard protocol round-trips the new policy
 // field and still reads pre-policy shards (no "policies" header field, no
@@ -70,8 +70,8 @@ void expect_same(const ScheduleSimulator::Summary& got,
 
 TEST(OnlinePolicy, NoneAndNullPolicyMatchStaticBitExact) {
   proptest::check(
-      "run_online(crashes-only timeline, none/null) == run_summary(), bit "
-      "for bit",
+      "run_summary(crash-only scenario, none/null) == simulate(), bit for "
+      "bit",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 4 + below(rng, 4);
         const auto w = random_workload(rng, procs, 12 + below(rng, 20));
@@ -84,43 +84,40 @@ TEST(OnlinePolicy, NoneAndNullPolicyMatchStaticBitExact) {
         for (std::size_t i = 0; i < 8; ++i) {
           const FailureScenario scenario =
               random_scenario(rng, procs, s.lower_bound());
-          const FailureTimeline timeline =
-              FailureTimeline::from_scenario(scenario);
-          EXPECT_FALSE(timeline.has_repairs());
-          const ScheduleSimulator::Summary want = sim.run_summary(scenario);
+          EXPECT_FALSE(scenario.has_repairs());
+          const SimulationResult fresh = simulate(s, scenario);
+          const ScheduleSimulator::Summary want{fresh.success, fresh.latency};
 
-          const auto null_run = sim.run_online(timeline, nullptr);
+          const auto null_run = sim.run_summary(scenario, nullptr);
           expect_same(null_run, want);
           EXPECT_EQ(null_run.moves, 0u);
           EXPECT_EQ(null_run.repairs, 0u);
 
-          const auto none_run = sim.run_online(timeline, none.get());
+          const auto none_run = sim.run_summary(scenario, none.get());
           expect_same(none_run, want);
           EXPECT_EQ(none_run.moves, 0u);
-
-          // Timeline↔scenario round trip is exact.
-          EXPECT_EQ(timeline.crashes_only().crash_count(),
-                    scenario.crash_count());
+          EXPECT_EQ(none_run.repairs, 0u);
         }
       },
       {.iterations = 10});
 }
 
-TEST(OnlinePolicy, EmptyTimelineMatchesStaticForEveryRegisteredPolicy) {
+TEST(OnlinePolicy, EmptyScenarioMatchesStaticForEveryRegisteredPolicy) {
   proptest::check(
-      "zero-crash timeline: every registered policy == static run",
+      "zero crashes: null == none == every registered policy",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 4 + below(rng, 3);
         const auto w = random_workload(rng, procs, 12 + below(rng, 12));
         const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
         ScheduleSimulator sim(s);
-        const ScheduleSimulator::Summary want = sim.run_summary({});
+        const ScheduleSimulator::Summary want = sim.run_summary();
         ASSERT_TRUE(want.success);
 
+        // The registry lists `none` too, so null == none is checked here.
         for (const std::string& name : PolicyRegistry::global().names()) {
           const ReschedulePolicyPtr policy = make_reschedule_policy(name);
           policy->prepare(s);
-          const auto got = sim.run_online(FailureTimeline{}, policy.get());
+          const auto got = sim.run_summary({}, policy.get());
           expect_same(got, want);
           EXPECT_EQ(got.moves, 0u) << "policy '" << name
                                    << "' moved replicas with zero crashes";
@@ -129,13 +126,13 @@ TEST(OnlinePolicy, EmptyTimelineMatchesStaticForEveryRegisteredPolicy) {
       {.iterations = 6});
 }
 
-TEST(OnlinePolicy, DrawnCellStaticReplayIsTheNoneTimelineRun) {
+TEST(OnlinePolicy, DrawnCellStaticReplayIsTheNoneRun) {
   // `none` means one thing on every path: simulate_drawn_cell (the sweep's
-  // static replay) reports exactly what run_online(timeline, none) gives
+  // static replay) reports exactly what run_summary(scenario, none) gives
   // for the same draw — repairs included.
   std::size_t repair_mattered = 0;
   proptest::check(
-      "simulate_drawn_cell <A>-Success == run_online(repair timeline, none)",
+      "simulate_drawn_cell <A>-Success == run_summary(repairs, none)",
       [&repair_mattered](Rng& rng, std::uint64_t) {
         const std::size_t procs = 5 + below(rng, 3);
         const auto w = random_workload(rng, procs, 12 + below(rng, 16));
@@ -153,17 +150,19 @@ TEST(OnlinePolicy, DrawnCellStaticReplayIsTheNoneTimelineRun) {
 
         for (const InstanceSchedules::Algo& a : schedules.algos) {
           const double anchor = a.schedule->lower_bound();
-          FailureTimeline timeline;
+          FailureScenario scenario;
+          FailureScenario permanent_only;
           for (std::size_t i = 0; i < draw.victims.size(); ++i) {
             const double crash = draw.unit_times[i] * anchor;
             const double repair = crash + draw.unit_repair_delays[i] * anchor;
-            timeline.add(ProcId{draw.victims[i]}, crash,
+            scenario.add(ProcId{draw.victims[i]}, crash,
                          repair > crash
                              ? repair
                              : std::numeric_limits<double>::infinity());
+            permanent_only.add(ProcId{draw.victims[i]}, crash);
           }
           const ScheduleSimulator::Summary got =
-              a.simulator->run_online(timeline, none.get());
+              a.simulator->run_summary(scenario, none.get());
           EXPECT_EQ(sample.at(a.success_series), got.success ? 1.0 : 0.0)
               << a.algo.key;
           if (got.success) {
@@ -172,10 +171,10 @@ TEST(OnlinePolicy, DrawnCellStaticReplayIsTheNoneTimelineRun) {
                 << a.algo.key;
           }
           EXPECT_EQ(got.moves, 0u);
-          const ScheduleSimulator::Summary crashes_only =
-              a.simulator->run_summary(timeline.crashes_only());
-          if (crashes_only.success != got.success ||
-              crashes_only.latency != got.latency) {
+          const ScheduleSimulator::Summary permanent =
+              a.simulator->run_summary(permanent_only);
+          if (permanent.success != got.success ||
+              permanent.latency != got.latency) {
             ++repair_mattered;
           }
         }
@@ -203,15 +202,14 @@ TEST(OnlinePolicy, AtMostEpsilonRepairedOutagesNeverFail) {
           ScheduleSimulator sim(s);
           const double anchor = s.lower_bound();
           for (std::size_t run = 0; run < 6; ++run) {
-            FailureTimeline timeline;
+            FailureScenario scenario;
             for (const std::size_t v :
                  rng.sample_without_replacement(procs, 1 + below(rng, eps))) {
               const double crash = rng.uniform(0.0, 1.2) * anchor;
-              timeline.add(ProcId{v}, crash,
+              scenario.add(ProcId{v}, crash,
                            crash + rng.uniform(0.05, 1.0) * anchor);
             }
-            const ScheduleSimulator::Summary got =
-                sim.run_online(timeline, nullptr);
+            const ScheduleSimulator::Summary got = sim.run_summary(scenario);
             EXPECT_TRUE(got.success) << "eps=" << eps;
           }
         }

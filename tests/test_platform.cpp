@@ -145,14 +145,33 @@ TEST(Failure, BasicScenario) {
   EXPECT_TRUE(s.alive_at(ProcId{2u}, 4.9));
   EXPECT_FALSE(s.alive_at(ProcId{2u}, 5.0));
   EXPECT_TRUE(s.alive_at(ProcId{1u}, 1e9));
+  EXPECT_FALSE(s.has_repairs());
+  EXPECT_FALSE(s.alive_at(ProcId{2u}, 1e9));  // permanent by default
+}
+
+TEST(Failure, RepairEndsTheOutage) {
+  FailureScenario s;
+  s.add(ProcId{2u}, 5.0, 8.0);
+  EXPECT_TRUE(s.has_repairs());
+  EXPECT_TRUE(s.is_failed(ProcId{2u}));
+  EXPECT_DOUBLE_EQ(s.crashes().front().repair, 8.0);
+  EXPECT_TRUE(s.alive_at(ProcId{2u}, 4.9));
+  EXPECT_FALSE(s.alive_at(ProcId{2u}, 5.0));
+  EXPECT_FALSE(s.alive_at(ProcId{2u}, 7.9));
+  EXPECT_TRUE(s.alive_at(ProcId{2u}, 8.0));
 }
 
 TEST(Failure, RejectsDuplicatesAndBadInput) {
   FailureScenario s;
   s.add(ProcId{0u});
   EXPECT_THROW(s.add(ProcId{0u}, 1.0), InvalidArgument);
+  EXPECT_THROW(s.add(ProcId{0u}, 1.0, 2.0), InvalidArgument);
   EXPECT_THROW(s.add(ProcId{1u}, -1.0), InvalidArgument);
   EXPECT_THROW(s.add(ProcId{}), InvalidArgument);
+  // A finite repair must come strictly after the crash.
+  EXPECT_THROW(s.add(ProcId{1u}, 3.0, 3.0), InvalidArgument);
+  EXPECT_THROW(s.add(ProcId{1u}, 3.0, 2.0), InvalidArgument);
+  EXPECT_EQ(s.crash_count(), 1u);
 }
 
 TEST(Failure, RandomCrashesDistinctVictims) {

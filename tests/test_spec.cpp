@@ -38,6 +38,14 @@ TEST(SpecOptions, MalformedInputsThrow) {
   EXPECT_THROW((void)SpecOptions::parse("a=1,"), InvalidArgument);    // trail
   EXPECT_THROW((void)SpecOptions::parse("a=1,a=2"), InvalidArgument); // dup
   EXPECT_THROW((void)SpecOptions::parse("a=1,,b=2"), InvalidArgument);
+  // An empty option quotes the whole option text, not an empty fragment.
+  try {
+    (void)SpecOptions::parse(",a=1");
+    ADD_FAILURE() << "a leading comma must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("',a=1'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SpecOptions, EmptyValueIsAllowedButMissingKeyThrows) {

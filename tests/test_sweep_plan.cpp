@@ -293,5 +293,26 @@ TEST(MergeShards, RejectsGarbageStreams) {
                InvalidArgument);
 }
 
+TEST(MergeShards, MalformedFloatNamesFileAndField) {
+  std::stringstream file;
+  const SweepPlan plan(single_cell_config());
+  ShardWriterSink sink(file, plan);
+  run_plan(plan, sink);
+  std::string text = file.str();
+  const std::string mean = "\"mean\":\"";
+  const std::size_t at = text.find(mean);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + mean.size(), "zz");  // "0x1.8p+3" -> "zz0x1.8p+3"
+  std::stringstream corrupt(text);
+  try {
+    (void)read_shard(corrupt, "bad.jsonl");
+    ADD_FAILURE() << "a malformed hex-float must be rejected";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bad.jsonl"), std::string::npos) << what;
+    EXPECT_NE(what.find("'mean'"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace ftsched

@@ -23,6 +23,7 @@
 #include "ftsched/service/worker.hpp"
 #include "ftsched/experiments/backend.hpp"
 #include "ftsched/experiments/figures.hpp"
+#include "ftsched/experiments/runner.hpp"
 #include "ftsched/experiments/sweep_io.hpp"
 #include "ftsched/experiments/sweep_plan.hpp"
 #include "ftsched/util/cli.hpp"
@@ -272,8 +273,10 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   cli.add_option("crashes", "", "crash spec, e.g. \"0@0,3@12.5\"");
   cli.add_option("failures", "",
                  "draw the crash scenario from a FailureModel spec instead "
-                 "of --crashes, e.g. bernoulli:p=0.2 (victims crash at t=0; "
-                 "see list-failure-laws)");
+                 "of --crashes, e.g. bernoulli:p=0.2 or repair:p=0.2,mttr=0.5 "
+                 "(drawn like a t0 sweep cell: victims crash at t=0, burst "
+                 "offsets and repair delays scale with the schedule's lower "
+                 "bound; see list-failure-laws)");
   cli.add_option("comm", "free", "free|oneport|multiport communication model");
   cli.add_option("ports", "2", "ports for the multiport model");
   cli.add_flag("gantt", "print the execution Gantt chart");
@@ -292,16 +295,16 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
     FTSCHED_REQUIRE(cli.get("crashes").empty(),
                     "--crashes and --failures are mutually exclusive");
     const FailureModel model = FailureModel::parse(cli.get("failures"));
+    const std::size_t m = workload->platform().proc_count();
+    model.validate(m);
     // A derived stream so the draw is independent of the generator draws
     // the workload consumed from the same seed.
     Rng rng = Rng(static_cast<std::uint64_t>(cli.get_int("seed"))).derive(1);
-    const std::vector<std::size_t> victims =
-        model.draw(rng, workload->platform().proc_count(), epsilon);
-    for (std::size_t v : victims) scenario.add(ProcId{v}, 0.0);
+    const CellDraw draw = draw_cell(rng, m, epsilon, CrashTimeLaw{}, model);
+    scenario = draw.scenario(s.lower_bound(), draw.victims.size());
     out << "failure model:        " << model.describe() << '\n';
-    out << "drawn crashes:        " << victims.size() << " of "
-        << workload->platform().proc_count() << " processors (epsilon "
-        << epsilon << ")\n";
+    out << "drawn crashes:        " << draw.victims.size() << " of " << m
+        << " processors (epsilon " << epsilon << ")\n";
   } else {
     scenario = parse_crashes(cli.get("crashes"));
   }
