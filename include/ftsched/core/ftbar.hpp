@@ -36,6 +36,9 @@ struct FtbarOptions {
 
 /// Runs FTBAR. Channels are materialized all-pairs (with the intra-processor
 /// shortcut), as the original algorithm does not minimize communications.
+/// A duplicate placed after a destination never feeds it through the
+/// shortcut, and the result's wait-for graph is always acyclic (see
+/// build_schedule in ftbar.cpp), so it passes validate().
 [[nodiscard]] ReplicatedSchedule ftbar_schedule(
     const CostModel& costs, const FtbarOptions& options = {});
 

@@ -8,6 +8,10 @@
 //
 // For a (replica, edge) pair with channel sources S the edge is starved by
 // a single crash of q iff q starves every source, i.e. q ∈ ∩_{s∈S} kill(s).
+// A source queued behind the replica on the same processor is not in S: the
+// processor runs the replica first, so that channel can never deliver; a
+// replica left with no source for an edge never runs, whatever crashes.
+// A schedule whose wait-for graph is cyclic is never certified.
 // This makes the single-crash analysis *exact* for any channel structure
 // (FTSA, MC-FTSA with or without repair, FTBAR with duplication).
 //
@@ -48,6 +52,11 @@ struct RobustnessReport {
   /// Tasks whose replica kill sets overlap pairwise (vulnerable to some
   /// 2..ε coalition even if no single crash is fatal).
   std::vector<TaskId> overlapping_tasks;
+  /// The schedule's wait-for graph is cyclic (see wait_for_graph): a
+  /// replica may wait on one queued behind it, and the kill sets, which
+  /// assume every counted source can run first, no longer bound what a
+  /// crash set does.  Such a schedule is never certified.
+  bool wait_for_cycle = false;
   /// Human-readable summary.
   [[nodiscard]] std::string summary() const;
 };

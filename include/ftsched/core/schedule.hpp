@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -120,7 +121,10 @@ class ReplicatedSchedule {
   ///  * execution times match the cost model;
   ///  * every replica has >= 1 inbound channel per incoming edge, and its
   ///    start is >= the earliest channel arrival (failure-free times);
-  ///  * pessimistic times dominate failure-free times.
+  ///  * pessimistic times dominate failure-free times;
+  ///  * the wait-for graph (wait_for_graph below) is acyclic — in
+  ///    particular no channel comes from a replica queued behind its
+  ///    destination on the same processor.
   void validate() const;
 
  private:
@@ -132,5 +136,35 @@ class ReplicatedSchedule {
   std::vector<std::vector<PlacedReplica>> timeline_;  // per processor
   std::vector<TaskId> repaired_;
 };
+
+/// The wait-for graph of a schedule, over a flat replica numbering.
+///
+/// Replicas are numbered task-major: the replicas of task t are the flat
+/// ids offset[t] .. offset[t+1]-1, in replica-list order.  A processor runs
+/// its replicas in *queue order* — by scheduled start, then flat id — so a
+/// replica waits on its queue predecessor and on the source of every
+/// inbound channel; those are the graph's edges.  `order` lists the
+/// replicas in a topological order (Kahn's algorithm) and covers every
+/// replica iff the graph is acyclic.  A cycle can deadlock a run: some
+/// replica then waits for input that only a replica queued behind it, on
+/// its own or another processor, would produce.
+///
+/// ReplicatedSchedule::validate() rejects cyclic graphs, and the simulator
+/// replays crash-only runs as one forward pass over `order`.
+struct WaitForGraph {
+  std::vector<std::size_t> offset;         ///< task -> flat replica range
+  std::vector<std::size_t> queue_offset;   ///< processor -> range of queue
+  std::vector<std::uint32_t> queue;        ///< flat ids, in queue order
+  std::vector<std::uint32_t> queue_index;  ///< flat id -> index in queue
+  std::vector<std::uint32_t> order;        ///< topological order
+
+  [[nodiscard]] bool acyclic() const noexcept {
+    return order.size() == queue.size();
+  }
+};
+
+/// Builds the wait-for graph of `schedule`.  Throws Error on a channel
+/// whose replica indices are out of range.
+[[nodiscard]] WaitForGraph wait_for_graph(const ReplicatedSchedule& schedule);
 
 }  // namespace ftsched

@@ -31,6 +31,7 @@ class FtbarEngine {
   ReplicatedSchedule run() {
     bl_ = bottom_levels(costs_);
     replicas_.assign(g_.task_count(), {});
+    placed_.assign(g_.task_count(), {});
     ready_.assign(m_, 0.0);
     ready_pess_.assign(m_, 0.0);
     pending_.assign(g_.task_count(), 0);
@@ -213,6 +214,7 @@ class FtbarEngine {
     ready_[pj.index()] = dup.finish;
     ready_pess_[pj.index()] = dup.pess_finish;
     replicas_[tc.index()].push_back(dup);
+    placed_[tc.index()].push_back(placements_++);
     list_rev_[tc.index()] = ++global_rev_;  // invalidate successors' rows
   }
 
@@ -248,21 +250,46 @@ class FtbarEngine {
       ready_pess_[pj.index()] = r.pess_finish;
       schedule_length_ = std::max(schedule_length_, r.finish);
       replicas_[t.index()].push_back(r);
+      placed_[t.index()].push_back(placements_++);
     }
     list_rev_[t.index()] = ++global_rev_;  // t's successors must recompute
   }
 
-  ReplicatedSchedule build_schedule() {
+  /// The schedule with all-pairs channels and the intra-processor
+  /// shortcut, over the final replica sets (duplication included).
+  ///
+  /// A destination takes the shortcut only from a local source placed
+  /// before it: a minimize-start-time duplicate added later, for another
+  /// successor, is queued behind the destination, and a channel from it
+  /// would block that queue for good.  Without such a source the
+  /// destination reads every remote source replica — late duplicates too,
+  /// extra inputs its start time did not count on.  If those late channels
+  /// close a cycle of replicas waiting on each other (possible only beyond
+  /// ε crashes, and rare), the schedule keeps just the channels from
+  /// replicas placed before their destination.  Placement order is queue
+  /// order on every processor, so that wiring cannot deadlock — which also
+  /// spares the cycle check when no late channel was wired.
+  ReplicatedSchedule build_schedule() const {
+    bool late = false;
+    ReplicatedSchedule schedule = wire(/*late_sources=*/true, &late);
+    if (!late || wait_for_graph(schedule).acyclic()) return schedule;
+    return wire(/*late_sources=*/false, &late);
+  }
+
+  /// The channels as above, with or without the late ones; `late` reports
+  /// whether any was wired.
+  ReplicatedSchedule wire(bool late_sources, bool* late) const {
+    *late = false;
     ReplicatedSchedule schedule(costs_, options_.npf, "FTBAR");
     for (TaskId t : g_.tasks()) {
       schedule.place_task(t, replicas_[t.index()]);
     }
-    // All-pairs channels with the intra-processor shortcut, over the final
-    // replica sets (duplication included).
     for (std::size_t e = 0; e < g_.edge_count(); ++e) {
       const Edge& edge = g_.edge(e);
       const auto& src_reps = replicas_[edge.src.index()];
+      const auto& src_placed = placed_[edge.src.index()];
       const auto& dst_reps = replicas_[edge.dst.index()];
+      const auto& dst_placed = placed_[edge.dst.index()];
       std::vector<Channel> channels;
       for (std::size_t dk = 0; dk < dst_reps.size(); ++dk) {
         std::size_t local = src_reps.size();
@@ -272,11 +299,17 @@ class FtbarEngine {
             break;
           }
         }
-        if (local < src_reps.size()) {
+        const bool earlier_local =
+            local < src_reps.size() && src_placed[local] < dst_placed[dk];
+        if (earlier_local) {
           channels.push_back(Channel{local, dk});
-        } else {
-          for (std::size_t sk = 0; sk < src_reps.size(); ++sk) {
+          continue;
+        }
+        for (std::size_t sk = 0; sk < src_reps.size(); ++sk) {
+          const bool earlier = src_placed[sk] < dst_placed[dk];
+          if (sk != local && (late_sources || earlier)) {
             channels.push_back(Channel{sk, dk});
+            *late = *late || !earlier;
           }
         }
       }
@@ -294,6 +327,9 @@ class FtbarEngine {
   Rng rng_;
   std::vector<double> bl_;
   std::vector<std::vector<Replica>> replicas_;
+  /// Placement sequence number of each replica, parallel to replicas_.
+  std::vector<std::vector<std::uint64_t>> placed_;
+  std::uint64_t placements_ = 0;
   std::vector<double> ready_;
   std::vector<double> ready_pess_;
   std::vector<std::size_t> pending_;

@@ -71,9 +71,14 @@ std::string RobustnessReport::summary() const {
          << fatal_tasks.front().value() << ")";
       break;
     case RobustnessVerdict::kInconclusive:
-      os << "inconclusive: no single fatal processor, but "
-         << overlapping_tasks.size()
-         << " task(s) have overlapping replica kill sets";
+      os << "inconclusive: no single fatal processor, but ";
+      if (wait_for_cycle) {
+        os << "the wait-for graph is cyclic (a replica waits on one queued "
+              "behind it)";
+      } else {
+        os << overlapping_tasks.size()
+           << " task(s) have overlapping replica kill sets";
+      }
       break;
   }
   return os.str();
@@ -92,6 +97,12 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
 
   RobustnessReport report;
   std::vector<char> overlap_flag(g.task_count(), 0);
+  // Queue order decides which channels can ever deliver: a source queued
+  // behind its destination on the same processor cannot run first.
+  const WaitForGraph wait_for = wait_for_graph(schedule);
+  report.wait_for_cycle = !wait_for.acyclic();
+  Bits everything(m);
+  for (std::size_t p = 0; p < m; ++p) everything.set(p);
 
   for (TaskId t : g.topological_order()) {
     const auto& reps = schedule.replicas(t);
@@ -104,12 +115,28 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
     for (std::size_t e : g.in_edges(t)) {
       const TaskId src_task = g.edge(e).src;
       std::vector<std::vector<std::size_t>> sources(reps.size());
+      std::vector<char> has_channel(reps.size(), 0);
       for (const Channel& c : schedule.channels(e)) {
+        has_channel[c.dst_replica] = 1;
+        const std::size_t src =
+            wait_for.offset[src_task.index()] + c.src_replica;
+        const std::size_t dst = wait_for.offset[t.index()] + c.dst_replica;
+        if (schedule.replicas(src_task)[c.src_replica].proc ==
+                reps[c.dst_replica].proc &&
+            wait_for.queue_index[src] > wait_for.queue_index[dst]) {
+          continue;
+        }
         sources[c.dst_replica].push_back(c.src_replica);
       }
       for (std::size_t k = 0; k < reps.size(); ++k) {
-        FTSCHED_REQUIRE(!sources[k].empty(),
+        FTSCHED_REQUIRE(has_channel[k],
                         "replica lacks an inbound channel for an edge");
+        if (sources[k].empty()) {
+          // Every source is queued behind it: the replica never runs, and
+          // no crash set is needed to kill it.
+          kill[t.index()][k] = everything;
+          continue;
+        }
         // Single crash starves the edge iff it starves *every* source.
         Bits edge_kill = kill[src_task.index()][sources[k][0]];
         for (std::size_t i = 1; i < sources[k].size(); ++i) {
@@ -160,6 +187,8 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
 
   if (!report.fatal_processors.empty()) {
     report.verdict = RobustnessVerdict::kSingleCrashFatal;
+  } else if (report.wait_for_cycle) {
+    report.verdict = RobustnessVerdict::kInconclusive;
   } else if (report.overlapping_tasks.empty() && certificate_ok) {
     report.verdict = RobustnessVerdict::kCertifiedRobust;
   } else if (epsilon <= 1) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "ftsched/util/error.hpp"
 
@@ -161,6 +163,131 @@ void ReplicatedSchedule::validate() const {
                       "replica starts before its earliest input arrives");
     }
   }
+  // 4. No deadlock by construction: the wait-for graph is acyclic.
+  const WaitForGraph wait_for = wait_for_graph(*this);
+  if (!wait_for.acyclic()) {
+    std::vector<char> ordered(wait_for.queue.size(), 0);
+    for (const std::uint32_t flat : wait_for.order) ordered[flat] = 1;
+    std::size_t stuck = 0;
+    while (ordered[wait_for.queue[stuck]]) ++stuck;
+    const std::size_t flat = wait_for.queue[stuck];
+    std::size_t t = 0;
+    while (wait_for.offset[t + 1] <= flat) ++t;
+    const std::size_t k = flat - wait_for.offset[t];
+    throw Error("cyclic wait-for graph: replica " + std::to_string(k) +
+                " of " + g.label(TaskId{t}) + " on processor " +
+                std::to_string(replicas_[t][k].proc.value()) +
+                " waits, directly or through other replicas, on a replica "
+                "queued behind it");
+  }
+}
+
+WaitForGraph wait_for_graph(const ReplicatedSchedule& schedule) {
+  const TaskGraph& g = schedule.graph();
+  const std::size_t v = g.task_count();
+  const std::size_t m = schedule.platform().proc_count();
+  WaitForGraph w;
+  w.offset.assign(v + 1, 0);
+  for (std::size_t t = 0; t < v; ++t) {
+    w.offset[t + 1] = w.offset[t] + schedule.replicas(TaskId{t}).size();
+  }
+  const std::size_t total = w.offset[v];
+  std::vector<std::uint32_t> proc(total);
+  std::vector<double> start(total);
+  for (std::size_t t = 0; t < v; ++t) {
+    const auto& reps = schedule.replicas(TaskId{t});
+    for (std::size_t k = 0; k < reps.size(); ++k) {
+      proc[w.offset[t] + k] = reps[k].proc.value();
+      start[w.offset[t] + k] = reps[k].start;
+    }
+  }
+
+  // Queue order (CSR): scheduled start, then flat id.
+  w.queue_offset.assign(m + 1, 0);
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    ++w.queue_offset[proc[flat] + 1];
+  }
+  for (std::size_t p = 0; p < m; ++p) {
+    w.queue_offset[p + 1] += w.queue_offset[p];
+  }
+  w.queue.resize(total);
+  std::vector<std::size_t> fill(w.queue_offset.begin(),
+                                w.queue_offset.end() - 1);
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    w.queue[fill[proc[flat]]++] = static_cast<std::uint32_t>(flat);
+  }
+  const auto queued_before = [&start](std::uint32_t a, std::uint32_t b) {
+    if (start[a] != start[b]) return start[a] < start[b];
+    return a < b;
+  };
+  for (std::size_t p = 0; p < m; ++p) {
+    std::sort(w.queue.begin() + static_cast<std::ptrdiff_t>(w.queue_offset[p]),
+              w.queue.begin() +
+                  static_cast<std::ptrdiff_t>(w.queue_offset[p + 1]),
+              queued_before);
+  }
+  w.queue_index.resize(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    w.queue_index[w.queue[i]] = static_cast<std::uint32_t>(i);
+  }
+
+  // Channel fan-out (CSR) and in-degrees: one per inbound channel, plus
+  // one for the queue predecessor.
+  std::vector<std::uint32_t> out_offset(total + 1, 0);
+  std::vector<std::uint32_t> indegree(total, 0);
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(e);
+    const std::size_t src0 = w.offset[edge.src.index()];
+    const std::size_t dst0 = w.offset[edge.dst.index()];
+    const std::size_t src_count = w.offset[edge.src.index() + 1] - src0;
+    const std::size_t dst_count = w.offset[edge.dst.index() + 1] - dst0;
+    for (const Channel& c : schedule.channels(e)) {
+      FTSCHED_REQUIRE(c.src_replica < src_count && c.dst_replica < dst_count,
+                      "channel replica index out of range");
+      ++out_offset[src0 + c.src_replica + 1];
+      ++indegree[dst0 + c.dst_replica];
+    }
+  }
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    out_offset[flat + 1] += out_offset[flat];
+  }
+  std::vector<std::uint32_t> out(out_offset[total]);
+  std::vector<std::uint32_t> cursor(out_offset.begin(), out_offset.end() - 1);
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(e);
+    const std::size_t src0 = w.offset[edge.src.index()];
+    const auto dst0 = static_cast<std::uint32_t>(w.offset[edge.dst.index()]);
+    for (const Channel& c : schedule.channels(e)) {
+      out[cursor[src0 + c.src_replica]++] =
+          dst0 + static_cast<std::uint32_t>(c.dst_replica);
+    }
+  }
+  for (std::size_t p = 0; p < m; ++p) {
+    const std::size_t end = w.queue_offset[p + 1];
+    for (std::size_t i = w.queue_offset[p] + 1; i < end; ++i) {
+      ++indegree[w.queue[i]];
+    }
+  }
+
+  // Kahn's algorithm; `order` doubles as its FIFO.
+  w.order.reserve(total);
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    if (indegree[flat] == 0) {
+      w.order.push_back(static_cast<std::uint32_t>(flat));
+    }
+  }
+  for (std::size_t head = 0; head < w.order.size(); ++head) {
+    const std::uint32_t flat = w.order[head];
+    for (std::size_t i = out_offset[flat]; i < out_offset[flat + 1]; ++i) {
+      if (--indegree[out[i]] == 0) w.order.push_back(out[i]);
+    }
+    const std::size_t next = w.queue_index[flat] + std::size_t{1};
+    if (next < w.queue_offset[proc[flat] + 1] &&
+        --indegree[w.queue[next]] == 0) {
+      w.order.push_back(w.queue[next]);
+    }
+  }
+  return w;
 }
 
 }  // namespace ftsched

@@ -11,7 +11,9 @@
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/sim/validator.hpp"
+#include "ftsched/util/error.hpp"
 #include "ftsched/workload/paper_workload.hpp"
+#include "proptest.hpp"
 
 namespace ftsched {
 namespace {
@@ -123,6 +125,106 @@ TEST(Robustness, AgreesWithExhaustiveValidator) {
       }
     }
   }
+}
+
+/// `s` rewired the way FTBAR wired its channels before it checked queue
+/// order: a destination with a source replica on its own processor reads
+/// that replica alone, even one queued behind it.
+ReplicatedSchedule any_local_shortcut(const ReplicatedSchedule& s) {
+  ReplicatedSchedule out(s.costs(), s.epsilon(), s.algorithm());
+  for (TaskId t : s.graph().tasks()) out.place_task(t, s.replicas(t));
+  for (std::size_t e = 0; e < s.graph().edge_count(); ++e) {
+    const Edge& edge = s.graph().edge(e);
+    const auto& src_reps = s.replicas(edge.src);
+    const auto& dst_reps = s.replicas(edge.dst);
+    std::vector<Channel> channels;
+    for (std::size_t dk = 0; dk < dst_reps.size(); ++dk) {
+      std::size_t local = src_reps.size();
+      for (std::size_t sk = 0; sk < src_reps.size() && local == src_reps.size();
+           ++sk) {
+        if (src_reps[sk].proc == dst_reps[dk].proc) local = sk;
+      }
+      for (std::size_t sk = 0; sk < src_reps.size(); ++sk) {
+        if (local == src_reps.size() || sk == local) {
+          channels.push_back(Channel{sk, dk});
+        }
+      }
+    }
+    out.set_channels(e, std::move(channels));
+  }
+  return out;
+}
+
+TEST(Robustness, QueuedBehindSourceIsNotCertified) {
+  // a on P0 is queued behind b on P0 yet feeds it; b also reads a on P1.
+  // A lone crash of P1 then kills b: b on P1 dies, and b on P0 waits
+  // forever for a on P0, which waits for P0.  Counting a on P0 as a
+  // source of b on P0 used to certify this schedule.
+  TaskGraph g;
+  const TaskId a = g.add_task("a");
+  const TaskId b = g.add_task("b");
+  g.add_edge(a, b, 1.0);
+  const Platform platform(2, 1.0);
+  const CostModel costs(g, platform,
+                        std::vector<std::vector<double>>(2, {1.0, 1.0}));
+  ReplicatedSchedule s(costs, 1, "hand");
+  s.place_task(a, {Replica{ProcId{0u}, 3, 4, 3, 4},
+                   Replica{ProcId{1u}, 0, 1, 0, 1}});
+  s.place_task(b, {Replica{ProcId{0u}, 2, 3, 2, 3},
+                   Replica{ProcId{1u}, 1, 2, 1, 2}});
+  s.set_channels(0, {{1, 0}, {0, 0}, {1, 1}});
+  EXPECT_THROW(s.validate(), Error);
+  const RobustnessReport report = analyze_robustness(s);
+  EXPECT_EQ(report.verdict, RobustnessVerdict::kSingleCrashFatal)
+      << report.summary();
+  ASSERT_EQ(report.fatal_processors.size(), 1u);
+  EXPECT_EQ(report.fatal_processors[0], ProcId{1u});
+  FailureScenario crash;
+  crash.add(ProcId{1u}, 0.0);
+  EXPECT_FALSE(simulate(s, crash).success);
+
+  // With only the queued-behind source left, b on P0 never runs at all.
+  s.set_channels(0, {{0, 0}, {1, 1}});
+  const RobustnessReport starved = analyze_robustness(s);
+  EXPECT_NE(starved.verdict, RobustnessVerdict::kCertifiedRobust);
+  EXPECT_TRUE(starved.wait_for_cycle);
+}
+
+TEST(Robustness, CertifiedImpliesValid) {
+  // Over FTSA, MC-FTSA and FTBAR schedules and FTBAR schedules rewired
+  // with the unchecked local shortcut: "certified robust" must never be
+  // said of a schedule validate() rejects.
+  std::size_t cyclic = 0;
+  proptest::check(
+      "certified robust => validate() passes",
+      [&cyclic](Rng& rng, std::uint64_t seed) {
+        const auto procs = static_cast<std::size_t>(rng.uniform_int(8, 16));
+        PaperWorkloadParams params;
+        params.task_min = 20;
+        params.task_max = 80;
+        params.proc_count = procs;
+        params.granularity = rng.uniform(0.1, 0.2);
+        const auto w = make_paper_workload(rng, params);
+        const auto eps = static_cast<std::size_t>(rng.uniform_int(1, 2));
+        FtbarOptions ftbar;
+        ftbar.npf = eps;
+        ftbar.seed = seed;
+        const ReplicatedSchedule fixed = ftbar_schedule(w->costs(), ftbar);
+        EXPECT_TRUE(wait_for_graph(fixed).acyclic());
+        const ReplicatedSchedule rewired = any_local_shortcut(fixed);
+        if (!wait_for_graph(rewired).acyclic()) ++cyclic;
+        for (const ReplicatedSchedule& s :
+             {fixed, rewired, ftsa_schedule(w->costs(), FtsaOptions{eps, seed}),
+              mc_ftsa_schedule(w->costs(), McFtsaOptions{eps, seed})}) {
+          if (analyze_robustness(s).verdict ==
+              RobustnessVerdict::kCertifiedRobust) {
+            EXPECT_NO_THROW(s.validate()) << s.algorithm();
+          }
+        }
+      },
+      {.iterations = 100});
+  // The rewiring must have produced the defect now and then.
+  EXPECT_GT(cyclic, 0u);
 }
 
 TEST(Robustness, EpsilonZeroIsTriviallyCertified) {

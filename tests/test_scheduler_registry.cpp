@@ -11,10 +11,13 @@
 
 #include "ftsched/core/scheduler.hpp"
 #include "ftsched/experiments/runner.hpp"
+#include "ftsched/sim/event_sim.hpp"
 #include "ftsched/util/error.hpp"
 #include "ftsched/util/parallel.hpp"
 #include "ftsched/util/rng.hpp"
 #include "ftsched/workload/paper_workload.hpp"
+#include "ftsched/workload/workload_registry.hpp"
+#include "proptest.hpp"
 
 namespace ftsched {
 namespace {
@@ -40,6 +43,70 @@ TEST(SchedulerRegistry, AllBuiltinAlgorithmsConstructibleByName) {
     schedule.validate();
     EXPECT_FALSE(s->describe().empty());
   }
+}
+
+/// One small instance of a random registered workload family (all but
+/// `trace`, which needs a file) and a schedule of it by every registered
+/// scheduler, at a random ε and seed.
+template <typename Check>
+void for_every_scheduler_and_family(Rng& rng, std::uint64_t seed,
+                                    Check&& check) {
+  std::vector<std::string> families;
+  for (const std::string& name : WorkloadRegistry::global().names()) {
+    if (name != "trace") families.push_back(name);
+  }
+  const std::string family = families[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(families.size()) - 1))];
+  const SweepPoint point{rng.uniform(0.2, 2.0),
+                         static_cast<std::size_t>(rng.uniform_int(3, 8))};
+  const auto w = make_workload_family(family, {{"size", "8"},
+                                               {"tasks", "30"},
+                                               {"tmin", "20"},
+                                               {"tmax", "40"}})
+                     ->generate(rng, point);
+  const std::string eps = std::to_string(rng.uniform_int(1, 2));
+  for (const std::string& algo : SchedulerRegistry::global().names()) {
+    SCOPED_TRACE(family + " x " + algo + " eps=" + eps);
+    const ReplicatedSchedule s =
+        make_scheduler(algo, {{"eps", eps}, {"seed", std::to_string(seed)}})
+            ->run(w->costs());
+    check(s);
+  }
+}
+
+TEST(SchedulerRegistry, EverySchedulerOutputValidatesOnEveryFamily) {
+  // validate() includes the wait-for check: no schedule may queue a
+  // replica's only usable input behind it.
+  proptest::check(
+      "registered scheduler x workload family -> validate() passes",
+      [](Rng& rng, std::uint64_t seed) {
+        for_every_scheduler_and_family(
+            rng, seed,
+            [](const ReplicatedSchedule& s) { EXPECT_NO_THROW(s.validate()); });
+      },
+      {.iterations = 30});
+}
+
+TEST(SchedulerRegistry, FaultFreeRunStartsEveryReplica) {
+  // With no crash every processor stays live, so every replica must start
+  // and complete: a replica left waiting is a deadlock that replication
+  // would otherwise hide until one more crash exposes it.
+  proptest::check(
+      "registered scheduler x workload family -> fault-free run completes "
+      "every replica",
+      [](Rng& rng, std::uint64_t seed) {
+        for_every_scheduler_and_family(rng, seed, [](const auto& s) {
+          const SimulationResult r = simulate(s);
+          EXPECT_TRUE(r.success);
+          EXPECT_EQ(r.dead_replicas + r.cancelled_replicas, 0u);
+          for (const auto& outcomes : r.outcomes) {
+            for (const ReplicaOutcome& o : outcomes) {
+              EXPECT_EQ(o.status, ReplicaStatus::kCompleted);
+            }
+          }
+        });
+      },
+      {.iterations = 30});
 }
 
 TEST(SchedulerRegistry, UnknownNameThrowsWithKnownNamesListed) {
