@@ -73,12 +73,24 @@ struct SimulationOptions {
 /// simulating the same schedule under many failure scenarios (crash
 /// counts, sweep cells, validator subsets) skips the per-call rebuild.
 ///
-/// There is one run method: run_summary(failures, policy) drives one event
-/// loop from the scenario's outages — permanent crashes and, optionally,
-/// repairs — and, when a rescheduling policy is live, consults it on every
-/// crash and repair.  Without a policy the loop replays the static
-/// schedule; a repaired processor resumes the replicas it parked.  The
-/// per-replica detail of the last run is opt-in through result().
+/// There is one run method: run_summary(failures, policy) executes the
+/// scenario's outages — permanent crashes and, optionally, repairs — and,
+/// when a rescheduling policy is live, consults it on every crash and
+/// repair.  Without a policy the run replays the static schedule; a
+/// repaired processor resumes the replicas it parked.  The per-replica
+/// detail of the last run is opt-in through result().
+///
+/// Which path a run takes (the results are the same bit for bit):
+///  * the forward pass, when the run is crash-only (no repair in the
+///    scenario), no policy is live (null or no-op), the comm model is
+///    contention-free, and the schedule's wait-for graph is acyclic
+///    (wait_for_graph in core/schedule.hpp; every validated schedule's is).
+///    With those, the run has a fixed order: one visit per replica in
+///    topological order evaluates the schedulers' start-time recurrence
+///    under the crash set, with no events — O(replicas + channels);
+///  * the event loop otherwise: repairs, live policies, contention models,
+///    and cyclic or otherwise hand-built schedules the pass cannot replay
+///    (a replica such a schedule deadlocks ends the run kNotStarted).
 ///
 /// All dynamic state is structure-of-arrays: flat parallel arrays indexed
 /// by a build-once replica numbering (status bytes, in-edge satisfaction
@@ -86,7 +98,7 @@ struct SimulationOptions {
 /// times), so the per-run reset is a handful of fill/copy sweeps over
 /// contiguous memory instead of per-node touches, and the event queue is an
 /// arena-backed binary heap whose storage is retained across runs — steady
-/// state allocates nothing.
+/// state allocates nothing, on either path.
 ///
 /// The schedule must outlive the simulator.  Runs mutate internal state:
 /// one simulator must not be run from two threads concurrently (use one

@@ -71,20 +71,42 @@ struct OutChannel {
 
 constexpr std::uint32_t kNoReplica = std::numeric_limits<std::uint32_t>::max();
 
+/// A point in the event loop's processing order.  At one time the loop
+/// runs finishes and messages first (phase 0), then crash k of the
+/// scenario (phase 2k+1), then the finishes and messages that crash made
+/// due at that same time (phase 2k+2), then the next crash.  Within a
+/// crash, `root` is the queue index of the replica on the crashing
+/// processor whose loss the cascade started from; 0 otherwise.
+struct Instant {
+  double time;
+  std::uint32_t phase;
+  std::uint32_t root;
+
+  friend bool operator<(const Instant& a, const Instant& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.phase != b.phase) return a.phase < b.phase;
+    return a.root < b.root;
+  }
+};
+
 }  // namespace
 
 /// The simulator split along the static/dynamic line: everything derived
 /// from the schedule alone is computed once at construction (flat replica
 /// arrays, CSR out-channel and per-processor queues, pristine copies of the
-/// countdown arrays); every run resets only the per-run state with
-/// fill/copy sweeps over flat arrays — structure-of-arrays, no per-node
-/// touches, no allocation in steady state — and replays the one event loop
-/// on an arena-backed binary heap whose storage is retained across runs.
+/// countdown arrays, the wait-for order); every run resets only the
+/// per-run state with fill/copy sweeps over flat arrays — structure-of-
+/// arrays, no per-node touches, no allocation in steady state.
 ///
-/// The loop is the online one: a policy, when present and not a no-op, is
-/// consulted on every crash and repair and may move pending replicas.
-/// Without one, the handlers execute the static schedule — the paper's
-/// replay — and a repaired processor resumes the work it parked.
+/// A run takes one of two paths.  A crash-only run of an acyclic schedule
+/// under contention-free links, with no live policy, is the forward pass:
+/// one visit per replica in wait-for order.  Every other run replays the
+/// event loop on an arena-backed binary heap whose storage is retained
+/// across runs.  The loop is the online one: a policy, when present and
+/// not a no-op, is consulted on every crash and repair and may move pending
+/// replicas.  Without one, the handlers execute the static schedule — the
+/// paper's replay — and a repaired processor resumes the work it parked.
+/// The forward pass reproduces that loop's crash-only runs bit for bit.
 class ScheduleSimulator::Impl {
  public:
   Impl(const ReplicatedSchedule& schedule, const SimulationOptions& options)
@@ -99,13 +121,19 @@ class ScheduleSimulator::Impl {
 
   ScheduleSimulator::Summary run_summary(const FailureScenario& failures,
                                          ReschedulePolicy* policy) {
-    reset();
     if (policy != nullptr) policy->begin_run();
     // A no-op policy is never consulted: no view construction, no moves.
     policy_ = (policy == nullptr || policy->is_noop()) ? nullptr : policy;
     const std::size_t m = platform_.proc_count();
     for (const Crash& c : failures.crashes()) {
       FTSCHED_REQUIRE(c.proc.index() < m, "outage names an unknown processor");
+    }
+    if (forward_ && policy_ == nullptr && !failures.has_repairs()) {
+      forward_pass(failures);
+      return summarize();
+    }
+    reset();
+    for (const Crash& c : failures.crashes()) {
       const auto p = static_cast<std::uint32_t>(c.proc.index());
       push(Event{c.time, seq_++, p, 0, EventType::kCrash});
       if (c.repair < kInf) {
@@ -140,15 +168,15 @@ class ScheduleSimulator::Impl {
   // --- static structure (depends only on the schedule) ----------------------
 
   void build_static() {
+    WaitForGraph wait_for = wait_for_graph(schedule_);
+    const bool acyclic = wait_for.acyclic();
+    offset_ = std::move(wait_for.offset);
+    queue_offset_ = std::move(wait_for.queue_offset);
+    queue_ = std::move(wait_for.queue);
     const std::size_t v = g_.task_count();
-    offset_.assign(v + 1, 0);
-    for (std::size_t t = 0; t < v; ++t) {
-      offset_[t + 1] = offset_[t] + schedule_.replicas(TaskId{t}).size();
-    }
     const std::size_t total = offset_[v];
     proc_of_.resize(total);
     duration_.resize(total);
-    sched_start_.resize(total);
     task_of_.resize(total);
     for (std::size_t t = 0; t < v; ++t) {
       for (std::size_t flat = offset_[t]; flat < offset_[t + 1]; ++flat) {
@@ -173,7 +201,6 @@ class ScheduleSimulator::Impl {
         const std::size_t flat = offset_[t.index()] + k;
         proc_of_[flat] = static_cast<std::uint32_t>(reps[k].proc.index());
         duration_[flat] = reps[k].finish - reps[k].start;
-        sched_start_[flat] = reps[k].start;
         in_offset_[flat + 1] = in.size();
         unsatisfied0_[flat] = static_cast<std::uint32_t>(in.size());
       }
@@ -214,57 +241,42 @@ class ScheduleSimulator::Impl {
       }
     }
 
-    // Per-processor execution order (CSR): scheduled start, then flat id.
-    const std::size_t m = platform_.proc_count();
-    queue_offset_.assign(m + 1, 0);
-    for (std::size_t flat = 0; flat < total; ++flat) {
-      ++queue_offset_[proc_of_[flat] + 1];
-    }
-    for (std::size_t p = 0; p < m; ++p) {
-      queue_offset_[p + 1] += queue_offset_[p];
-    }
-    queue_.resize(total);
-    std::vector<std::size_t> qfill(m, 0);
-    for (std::size_t flat = 0; flat < total; ++flat) {
-      const std::size_t p = proc_of_[flat];
-      queue_[queue_offset_[p] + qfill[p]++] = static_cast<std::uint32_t>(flat);
-    }
-    for (std::size_t p = 0; p < m; ++p) {
-      std::sort(queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p]),
-                queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p + 1]),
-                [this](std::uint32_t a, std::uint32_t b) {
-                  if (sched_start_[a] != sched_start_[b])
-                    return sched_start_[a] < sched_start_[b];
-                  return a < b;
-                });
-    }
-
     // Exit-task replica ranges, for the summary fold.
     for (TaskId t : g_.exit_tasks()) {
       exit_ranges_.emplace_back(offset_[t.index()], offset_[t.index() + 1]);
     }
 
-    // Size the dynamic arrays once; reset() only overwrites them.
+    if (contention_free_ && acyclic) {
+      build_forward(std::move(wait_for.order),
+                    std::move(wait_for.queue_index));
+    }
+
+    // The outcome arrays both paths write; each path sizes its own state
+    // on its first run (forward_pass(), reset()), and later runs only
+    // overwrite it.
     state_.assign(total, State::kPending);
     actual_start_.assign(total, 0.0);
     actual_finish_.assign(total, 0.0);
-    unsatisfied_ = unsatisfied0_;
-    satisfied_.assign(total_slots, 0);
-    live_sources_ = live_sources0_;
-    cur_proc_ = proc_of_;
-    cur_duration_ = duration_;
-    head_.assign(m, 0);
-    busy_.assign(m, 0);
-    crashed_.assign(m, 0);
-    moved_pool_.resize(m);
-    running_.assign(m, kNoReplica);
-    run_finish_.assign(m, 0.0);
-    repair_at_.assign(m, kInf);
-    // Worst-case live events: one finish per replica + one message per
-    // channel in flight + the crashes and repairs; reserving the
-    // replica+channel part up front makes the heap allocation-free for
-    // every run whose outage count fits the slack of the round-up.
-    events_.reserve(total + out_.size() + 16);
+  }
+
+  /// The forward pass's static part: the topological order and each
+  /// replica's queue index.  The pass stays off for a schedule it cannot
+  /// replay exactly: a slot with no channel (its replica waits forever), or
+  /// a negative or infinite duration or comm time.
+  void build_forward(std::vector<std::uint32_t> order,
+                     std::vector<std::uint32_t> queue_index) {
+    for (const double d : duration_) {
+      if (!(d >= 0.0 && d < kInf)) return;
+    }
+    for (const OutChannel& ch : out_) {
+      if (!(ch.comm_duration >= 0.0 && ch.comm_duration < kInf)) return;
+    }
+    for (const std::uint32_t sources : live_sources0_) {
+      if (sources == 0) return;
+    }
+    order_ = std::move(order);
+    queue_index_ = std::move(queue_index);
+    forward_ = true;
   }
 
   // --- per-run reset --------------------------------------------------------
@@ -275,23 +287,27 @@ class ScheduleSimulator::Impl {
     std::fill(state_.begin(), state_.end(), State::kPending);
     std::fill(actual_start_.begin(), actual_start_.end(), 0.0);
     std::fill(actual_finish_.begin(), actual_finish_.end(), 0.0);
-    std::copy(unsatisfied0_.begin(), unsatisfied0_.end(), unsatisfied_.begin());
-    std::fill(satisfied_.begin(), satisfied_.end(), std::uint8_t{0});
-    std::copy(live_sources0_.begin(), live_sources0_.end(),
-              live_sources_.begin());
-    std::copy(proc_of_.begin(), proc_of_.end(), cur_proc_.begin());
-    std::copy(duration_.begin(), duration_.end(), cur_duration_.begin());
-    std::copy(queue_offset_.begin(), queue_offset_.end() - 1, head_.begin());
-    std::fill(busy_.begin(), busy_.end(), std::uint8_t{0});
-    std::fill(crashed_.begin(), crashed_.end(), std::uint8_t{0});
-    std::fill(running_.begin(), running_.end(), kNoReplica);
-    std::fill(run_finish_.begin(), run_finish_.end(), 0.0);
-    std::fill(repair_at_.begin(), repair_at_.end(), kInf);
-    // Only moves fill the pools.
-    if (moves_applied_ != 0) {
-      for (auto& pool : moved_pool_) pool.clear();  // storage retained
-    }
+    const std::size_t m = platform_.proc_count();
+    unsatisfied_ = unsatisfied0_;
+    satisfied_.assign(live_sources0_.size(), 0);
+    live_sources_ = live_sources0_;
+    cur_proc_ = proc_of_;
+    cur_duration_ = duration_;
+    head_.assign(queue_offset_.begin(), queue_offset_.end() - 1);
+    busy_.assign(m, 0);
+    crashed_.assign(m, 0);
+    running_.assign(m, kNoReplica);
+    run_finish_.assign(m, 0.0);
+    repair_at_.assign(m, kInf);
+    moved_pool_.resize(m);
+    for (auto& pool : moved_pool_) pool.clear();  // storage retained
     events_.clear();  // storage retained
+    // Worst-case live events: one finish per replica + one message per
+    // channel in flight + the crashes and repairs.  Reserving the
+    // replica+channel part on the first event-loop run (a simulator that
+    // only runs the forward pass never needs the heap) makes the heap
+    // allocation-free for every run whose outage count fits the slack.
+    events_.reserve(proc_of_.size() + out_.size() + 16);
     seq_ = 0;
     messages_delivered_ = 0;
     moves_applied_ = 0;
@@ -477,6 +493,110 @@ class ScheduleSimulator::Impl {
         // Skipping the cancelled head may unblock the processor.
         if (!crashed_[dp]) try_start(dp, now);
       }
+    }
+  }
+
+  // --- the forward pass -----------------------------------------------------
+
+  /// A crash-only run without events: one visit per replica, in the wait-for
+  /// graph's topological order, so every source and the queue predecessor
+  /// are resolved first, and each resolved replica pushes its outcome into
+  /// the in-slots it feeds.  This is the schedulers' start-time recurrence
+  /// under a crash set, with the event loop's tie rules:
+  ///  * a slot is ready at the earliest finish + comm over its completed
+  ///    sources; a slot whose sources are all lost dooms its replica at the
+  ///    instant the last one was lost, and a live processor skips a doomed
+  ///    replica at max(avail, doom);
+  ///  * otherwise the replica starts at s = max(avail, ready) if that comes
+  ///    before its processor's crash, and completes iff s + d <= crash (a
+  ///    finish at the crash instant counts); else it is dead at the crash
+  ///    and its processor takes nothing else.
+  /// Instants carry the event loop's processing order at equal times (see
+  /// Instant), which decides dead against cancelled and started against
+  /// not started.  Writes state_, actual_start_ and actual_finish_ — all
+  /// that summarize() and result() read — and allocates nothing.
+  void forward_pass(const FailureScenario& failures) {
+    const std::size_t m = platform_.proc_count();
+    crash_at_.assign(m, Instant{kInf, 0, 0});
+    const std::vector<Crash>& crashes = failures.crashes();
+    for (std::size_t k = 0; k < crashes.size(); ++k) {
+      crash_at_[crashes[k].proc.index()] =
+          Instant{crashes[k].time, static_cast<std::uint32_t>(2 * k + 1), 0};
+    }
+    avail_.assign(m, Instant{0.0, 0, 0});
+    slot_arrival_.assign(live_sources0_.size(), Instant{kInf, 0, 0});
+    slot_lost_.assign(live_sources0_.size(), Instant{0.0, 0, 0});
+    messages_delivered_ = 0;
+    moves_applied_ = 0;
+    repairs_applied_ = 0;
+    for (const std::uint32_t flat : order_) {
+      // Every source has resolved: a slot with no arrival has lost them all.
+      Instant ready{0.0, 0, 0};
+      Instant doom{kInf, 0, 0};
+      bool doomed = false;
+      for (std::size_t slot = in_offset_[flat]; slot < in_offset_[flat + 1];
+           ++slot) {
+        if (slot_arrival_[slot].time < kInf) {
+          if (ready < slot_arrival_[slot]) ready = slot_arrival_[slot];
+        } else if (!doomed || slot_lost_[slot] < doom) {
+          doom = slot_lost_[slot];
+          doomed = true;
+        }
+      }
+
+      const std::size_t p = proc_of_[flat];
+      const Instant crash = crash_at_[p];
+      // A crash kills its processor's running replica, then the pending
+      // ones in queue order; each loss cascades before the next.
+      const Instant killed{crash.time, crash.phase, queue_index_[flat]};
+      Instant& avail = avail_[p];
+      Instant lost = killed;
+      actual_start_[flat] = 0.0;
+      if (doomed && doom < killed) {
+        state_[flat] = State::kCancelled;
+        lost = doom;
+        if (avail < doom) avail = doom;
+      } else {
+        state_[flat] = State::kDead;
+        const Instant start = avail < ready ? ready : avail;
+        if (!doomed && start < crash) {
+          const double s = start.time;
+          const double f = s + duration_[flat];
+          actual_start_[flat] = s;
+          if (f <= crash.time) {
+            // A finish due at its own start runs right after the phase
+            // that started it (the next even one).
+            state_[flat] = State::kCompleted;
+            actual_finish_[flat] = f;
+            avail = Instant{f, f == s ? (start.phase + 1) & ~1u : 0u, 0};
+            complete(flat, p, avail);
+            continue;
+          }
+        }
+        avail = killed;
+      }
+      for (std::size_t i = out_offset_[flat]; i < out_offset_[flat + 1]; ++i) {
+        Instant& last = slot_lost_[out_[i].slot];
+        if (last < lost) last = lost;
+      }
+    }
+  }
+
+  /// The forward pass's delivery of a replica that completed at `finish`:
+  /// every out-channel's message, at the sender's finish instant for a
+  /// local channel (handled in that same phase) and comm time later for a
+  /// remote one.
+  void complete(std::uint32_t flat, std::size_t p, const Instant& finish) {
+    for (std::size_t i = out_offset_[flat]; i < out_offset_[flat + 1]; ++i) {
+      const OutChannel& ch = out_[i];
+      Instant arrival = finish;
+      if (proc_of_[ch.dst] != p) {
+        ++messages_delivered_;
+        arrival.time += ch.comm_duration;
+        if (arrival.time != finish.time) arrival.phase = 0;
+      }
+      Instant& best = slot_arrival_[ch.slot];
+      if (arrival < best) best = arrival;
     }
   }
 
@@ -681,7 +801,6 @@ class ScheduleSimulator::Impl {
   std::vector<std::uint32_t> proc_of_;    ///< flat replica -> processor
   std::vector<std::uint32_t> task_of_;    ///< flat replica -> task index
   std::vector<double> duration_;
-  std::vector<double> sched_start_;
   std::vector<std::size_t> out_offset_;   ///< flat replica -> out_ CSR range
   std::vector<OutChannel> out_;
   std::vector<std::size_t> in_offset_;    ///< flat replica -> slot arena range
@@ -690,6 +809,10 @@ class ScheduleSimulator::Impl {
   std::vector<std::size_t> queue_offset_;  ///< processor -> queue_ CSR range
   std::vector<std::uint32_t> queue_;
   std::vector<std::pair<std::size_t, std::size_t>> exit_ranges_;
+  // Forward pass (built when forward_): see build_forward().
+  bool forward_ = false;
+  std::vector<std::uint32_t> order_;        ///< wait-for topological order
+  std::vector<std::uint32_t> queue_index_;  ///< flat replica -> queue_ index
 
   // Dynamic (overwritten by reset(); flat except the fill-in pools).
   std::vector<State> state_;
@@ -710,6 +833,13 @@ class ScheduleSimulator::Impl {
   std::vector<double> run_finish_;      ///< per proc: running finish time
   std::vector<double> repair_at_;       ///< per proc: scheduled repair time
   std::vector<Event> events_;  ///< binary min-heap, storage retained
+  // Forward pass state: per in-slot, the earliest arrival (time +inf until
+  // a source completes) and the latest source loss; per processor, when it
+  // is free for its next replica and when it crashes.
+  std::vector<Instant> slot_arrival_;
+  std::vector<Instant> slot_lost_;
+  std::vector<Instant> avail_;
+  std::vector<Instant> crash_at_;
   std::uint32_t seq_ = 0;
   std::size_t messages_delivered_ = 0;
   std::size_t moves_applied_ = 0;

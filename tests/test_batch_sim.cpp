@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ftsched/core/ftsa.hpp"
+#include "ftsched/core/scheduler.hpp"
 #include "ftsched/experiments/runner.hpp"
 #include "ftsched/experiments/sweep_plan.hpp"
 #include "ftsched/platform/failure.hpp"
@@ -157,6 +158,180 @@ TEST(BatchSim, SummaryAndResultAgreeUnderRepairs) {
       {.iterations = 10});
   // Otherwise the property could pass without a single repair applied.
   EXPECT_GT(repaired_runs, 0u);
+}
+
+/// Options that keep run_summary on the event loop with the very arrival
+/// times of the contention-free model: one send port per channel means no
+/// message ever waits for a port, but the model is not contention-free, so
+/// the crash-only forward pass stays off.
+SimulationOptions event_loop_options(const ReplicatedSchedule& s) {
+  SimulationOptions options;
+  options.comm = {CommModelKind::kBoundedMultiPort, s.channel_count() + 1};
+  return options;
+}
+
+/// Crashes of `count` random victims, each at one of `instants`; about
+/// half of them share one instant, so equal-time crashes tie too.
+FailureScenario scenario_at(Rng& rng, std::size_t procs, std::size_t count,
+                            const std::vector<double>& instants) {
+  FailureScenario scenario;
+  const double shared = instants[below(rng, instants.size())];
+  for (const std::size_t v : rng.sample_without_replacement(procs, count)) {
+    scenario.add(ProcId{v}, rng.bernoulli(0.5)
+                                ? shared
+                                : instants[below(rng, instants.size())]);
+  }
+  return scenario;
+}
+
+/// Hand-built input no scheduler emits: a copy of a schedule on a platform
+/// where about a third of the links cost nothing, with about a third of
+/// the replicas taking no time (finish = start).  A finish then falls on
+/// its own start instant and a remote message on its sender's finish,
+/// where the event loop's phase order at one instant decides.  The
+/// members point at each other, so the struct stays where it is built.
+struct Degenerate {
+  Platform platform;
+  CostModel costs;
+  ReplicatedSchedule schedule;
+
+  Degenerate(const Degenerate&) = delete;
+  Degenerate& operator=(const Degenerate&) = delete;
+
+  Degenerate(Rng& rng, const ReplicatedSchedule& s)
+      : platform(free_links(rng, s.platform())),
+        costs(s.graph(), platform, exec_of(s.costs())),
+        schedule(costs, s.epsilon(), s.algorithm()) {
+    for (TaskId t : s.graph().tasks()) {
+      std::vector<Replica> reps = s.replicas(t);
+      for (Replica& r : reps) {
+        if (rng.bernoulli(0.3)) r.finish = r.start;
+      }
+      schedule.place_task(t, std::move(reps));
+    }
+    for (std::size_t e = 0; e < s.graph().edge_count(); ++e) {
+      schedule.set_channels(e, s.channels(e));
+    }
+  }
+
+  static Platform free_links(Rng& rng, const Platform& p) {
+    const std::size_t m = p.proc_count();
+    std::vector<std::vector<double>> delay(m, std::vector<double>(m, 0.0));
+    for (std::size_t k = 0; k < m; ++k) {
+      for (std::size_t h = 0; h < m; ++h) {
+        if (k != h && !rng.bernoulli(0.3)) {
+          delay[k][h] = p.delay(ProcId{k}, ProcId{h});
+        }
+      }
+    }
+    return Platform(std::move(delay));
+  }
+
+  static std::vector<std::vector<double>> exec_of(const CostModel& c) {
+    std::vector<std::vector<double>> exec(c.graph().task_count());
+    for (TaskId t : c.graph().tasks()) {
+      for (std::size_t p = 0; p < c.platform().proc_count(); ++p) {
+        exec[t.index()].push_back(c.exec(t, ProcId{p}));
+      }
+    }
+    return exec;
+  }
+};
+
+/// Runs every scenario on the forward pass and on the event loop and
+/// compares the two, Summary and result(); returns the failed-run count.
+std::size_t expect_forward_matches_loop(
+    const ReplicatedSchedule& s,
+    const std::vector<FailureScenario>& scenarios) {
+  ScheduleSimulator fast(s);
+  ScheduleSimulator loop(s, event_loop_options(s));
+  std::size_t failed = 0;
+  for (const FailureScenario& scenario : scenarios) {
+    (void)loop.run_summary(scenario);
+    const SimulationResult want = loop.result();
+    if (!want.success) ++failed;
+    expect_run_same(fast, scenario, want);
+  }
+  return failed;
+}
+
+TEST(BatchSim, ForwardPassMatchesEventLoop) {
+  // The crash-only forward pass against the event loop it replaces, bit
+  // for bit on the Summary and on result(), for every registered scheduler
+  // under every crash-only law — plus crashes placed exactly on fault-free
+  // start and finish instants, where the loop's tie rules decide (a finish
+  // at the crash instant counts; a replica started at it dies with that
+  // start; a loss at a crash instant cascades before the next crash).
+  const std::vector<std::string> algos = SchedulerRegistry::global().names();
+  const std::vector<CrashTimeLaw> laws = {
+      CrashTimeLaw::parse("t0"), CrashTimeLaw::parse("frac:f=0.5"),
+      CrashTimeLaw::parse("uniform:hi=1")};
+  std::vector<FailureModel> models = {FailureModel::parse("bernoulli:p=0.3"),
+                                      FailureModel::parse("burst:p=0.4")};
+  std::size_t failed_runs = 0;
+  proptest::check(
+      "forward pass == event loop, bit for bit",
+      [&](Rng& rng, std::uint64_t seed) {
+        const std::size_t procs = 4 + below(rng, 4);
+        const auto w = random_workload(rng, procs, 10 + below(rng, 20));
+        const std::size_t eps = 1 + below(rng, 2);
+        std::vector<FailureModel> cell_models = models;
+        cell_models.push_back(FailureModel::parse("eps"));
+        cell_models.push_back(
+            FailureModel::parse("fixed:k=" + std::to_string(eps + 1)));
+        for (const std::string& algo : algos) {
+          SCOPED_TRACE(algo);
+          const auto s =
+              make_scheduler(algo, {{"eps", std::to_string(eps)},
+                                    {"npf", std::to_string(eps)},
+                                    {"seed", std::to_string(seed)}})
+                  ->run(w->costs());
+          const SimulationResult fault_free = simulate(s);
+          std::vector<double> instants = {0.0};
+          for (const auto& outcomes : fault_free.outcomes) {
+            for (const ReplicaOutcome& o : outcomes) {
+              instants.push_back(o.start);
+              instants.push_back(o.finish);
+            }
+          }
+
+          std::vector<FailureScenario> scenarios = {FailureScenario{}};
+          for (const CrashTimeLaw& law : laws) {
+            for (const FailureModel& model : cell_models) {
+              const CellDraw draw =
+                  draw_cell(rng, procs, s.epsilon(), law, model);
+              scenarios.push_back(
+                  draw.scenario(s.lower_bound(), draw.victims.size()));
+            }
+          }
+          for (std::size_t i = 0; i < 6; ++i) {
+            scenarios.push_back(
+                scenario_at(rng, procs, 1 + below(rng, procs), instants));
+          }
+          failed_runs += expect_forward_matches_loop(s, scenarios);
+
+          // The degenerate copy, with crashes on its own fault-free instants.
+          const Degenerate degenerate(rng, s);
+          const SimulationResult degenerate_free =
+              simulate(degenerate.schedule);
+          instants.assign(1, 0.0);
+          for (const auto& outcomes : degenerate_free.outcomes) {
+            for (const ReplicaOutcome& o : outcomes) {
+              instants.push_back(o.start);
+              instants.push_back(o.finish);
+            }
+          }
+          for (std::size_t i = 0; i < 6; ++i) {
+            scenarios.push_back(
+                scenario_at(rng, procs, 1 + below(rng, procs), instants));
+          }
+          failed_runs +=
+              expect_forward_matches_loop(degenerate.schedule, scenarios);
+        }
+      },
+      {.iterations = 8});
+  // Failed runs exercise the doomed-replica rules; they must occur.
+  EXPECT_GT(failed_runs, 0u);
 }
 
 TEST(BatchSim, ReusedSimulatorMatchesFreshSimulateUnderPortedComm) {

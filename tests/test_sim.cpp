@@ -6,10 +6,12 @@
 #include <tuple>
 
 #include "ftsched/core/ftsa.hpp"
+#include "ftsched/core/ftbar.hpp"
 #include "ftsched/core/mc_ftsa.hpp"
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/sim/trace.hpp"
+#include "ftsched/util/error.hpp"
 #include "ftsched/workload/classic.hpp"
 #include "ftsched/workload/paper_workload.hpp"
 
@@ -157,6 +159,158 @@ TEST(Sim, CancelledReplicasAreSkippedNotBlocking) {
   const SimulationResult r = simulate(s, scenario);
   ASSERT_TRUE(r.success);
   EXPECT_LE(r.latency, s.upper_bound() * (1 + 1e-9));
+}
+
+// ------------------------------------------------------ hand-built schedules
+
+/// A replica on `proc` over [start, finish], pessimistic times equal.
+Replica at(std::size_t proc, double start, double finish) {
+  return Replica{ProcId{proc}, start, finish, start, finish};
+}
+
+/// The same run on the crash-only forward pass (simulate's default) and on
+/// the event loop (a port per channel: never contended, but not the
+/// contention-free model, so the forward pass is off).
+std::pair<SimulationResult, SimulationResult> both_paths(
+    const ReplicatedSchedule& s, const FailureScenario& scenario) {
+  SimulationOptions loop;
+  loop.comm = {CommModelKind::kBoundedMultiPort, s.channel_count() + 1};
+  return {simulate(s, scenario), simulate(s, scenario, loop)};
+}
+
+TEST(Sim, FaultFreeRunDeliversEveryInterprocessorMessage) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto w = small_workload(seed, /*procs=*/5);
+    FtbarOptions ftbar;
+    ftbar.seed = seed;
+    for (const ReplicatedSchedule& s :
+         {ftsa_schedule(w->costs(), FtsaOptions{2, seed}),
+          mc_ftsa_schedule(w->costs(), McFtsaOptions{2, seed}),
+          ftbar_schedule(w->costs(), ftbar)}) {
+      ASSERT_GT(s.interproc_message_count(), 0u);
+      const auto [fast, loop] = both_paths(s, {});
+      EXPECT_EQ(fast.messages_delivered, s.interproc_message_count());
+      EXPECT_EQ(loop.messages_delivered, s.interproc_message_count());
+    }
+  }
+}
+
+TEST(Sim, CrashedRunDeliversOnlyCompletedSendersMessages) {
+  // Chain a -> b -> c on three processors, unit costs and delays, ε = 1:
+  //   a: P0 [0,1], P1 [0,1]     b: P1 [1,2], P2 [2,3]     c: P0 [3,4], P2 [3,4]
+  // b on P1 and c on P2 read their local predecessor; the other replicas
+  // read every predecessor replica: 4 inter-processor channels.
+  TaskGraph g;
+  const TaskId a = g.add_task("a");
+  const TaskId b = g.add_task("b");
+  const TaskId c = g.add_task("c");
+  g.add_edge(a, b, 1.0);
+  g.add_edge(b, c, 1.0);
+  const Platform platform(3, 1.0);
+  const CostModel costs(g, platform,
+                        std::vector<std::vector<double>>(3, {1.0, 1.0, 1.0}));
+  ReplicatedSchedule s(costs, 1, "hand");
+  s.place_task(a, {at(0, 0, 1), at(1, 0, 1)});
+  s.place_task(b, {at(1, 1, 2), at(2, 2, 3)});
+  s.place_task(c, {at(0, 3, 4), at(2, 3, 4)});
+  s.set_channels(0, {{1, 0}, {0, 1}, {1, 1}});
+  s.set_channels(1, {{0, 0}, {1, 0}, {1, 1}});
+  s.validate();
+  ASSERT_EQ(s.interproc_message_count(), 4u);
+
+  // P1 crashes at 0: a on P1 starts and dies, which cancels b on P1 (its
+  // only source).  a on P0 sends to b on P2, and b on P2 sends to c on P0:
+  // two messages; b on P2 feeding c on P2 is local and not counted.
+  FailureScenario crash;
+  crash.add(ProcId{1u}, 0.0);
+  const auto [fast, loop] = both_paths(s, crash);
+  for (const SimulationResult& r : {fast, loop}) {
+    ASSERT_TRUE(r.success);
+    EXPECT_EQ(r.messages_delivered, 2u);
+    EXPECT_EQ(r.completed_replicas, 4u);
+    EXPECT_EQ(r.dead_replicas, 1u);
+    EXPECT_EQ(r.cancelled_replicas, 1u);
+    EXPECT_EQ(r.outcomes[1][0].status, ReplicaStatus::kCancelled);
+    EXPECT_EQ(r.latency, 4.0);  // c on P2; c on P0 starts at 4
+    EXPECT_EQ(r.outcomes[2][0].start, 4.0);
+  }
+}
+
+TEST(Sim, ZeroDurationReplicaFinishesAfterTheCrashThatStartedIt) {
+  // Equal-time crashes are handled in scenario order, and what one crash
+  // sets off at that instant runs before the next.  P2 and then P0 crash
+  // at 10.  P0's crash kills a, which cancels b, the replica blocking P1;
+  // x (no time, no input) then starts and finishes at 10 on P1 and sends
+  // y its input over a free link — but after P2's crash, so y, pending on
+  // P2, was already dead and never started.
+  TaskGraph g;
+  const TaskId a = g.add_task("a");
+  const TaskId b = g.add_task("b");
+  const TaskId x = g.add_task("x");
+  const TaskId y = g.add_task("y");
+  g.add_edge(a, b, 1.0);
+  g.add_edge(x, y, 1.0);
+  const Platform platform({{0, 1, 1}, {1, 0, 0}, {1, 0, 0}});
+  const CostModel costs(
+      g, platform, std::vector<std::vector<double>>(4, {1.0, 1.0, 1.0}));
+  ReplicatedSchedule s(costs, 0, "hand");
+  s.place_task(a, {at(0, 0, 20)});
+  s.place_task(b, {at(1, 21, 22)});
+  s.place_task(x, {at(1, 22, 22)});
+  s.place_task(y, {at(2, 22, 23)});
+  s.set_channels(0, {{0, 0}});
+  s.set_channels(1, {{0, 0}});
+  FailureScenario crash;
+  crash.add(ProcId{2u}, 10.0);
+  crash.add(ProcId{0u}, 10.0);
+  const auto [fast, loop] = both_paths(s, crash);
+  for (const SimulationResult& r : {fast, loop}) {
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.outcomes[a.index()][0].status, ReplicaStatus::kDead);
+    EXPECT_EQ(r.outcomes[b.index()][0].status, ReplicaStatus::kCancelled);
+    EXPECT_EQ(r.outcomes[x.index()][0].status, ReplicaStatus::kCompleted);
+    EXPECT_EQ(r.outcomes[x.index()][0].finish, 10.0);
+    EXPECT_EQ(r.outcomes[y.index()][0].status, ReplicaStatus::kDead);
+    EXPECT_EQ(r.outcomes[y.index()][0].start, 0.0);  // never started
+    EXPECT_EQ(r.messages_delivered, 1u);
+  }
+
+  // In the other order y starts at 10, when x's message arrives, and dies
+  // there when P2 crashes.
+  FailureScenario reversed;
+  reversed.add(ProcId{0u}, 10.0);
+  reversed.add(ProcId{2u}, 10.0);
+  const auto [fast2, loop2] = both_paths(s, reversed);
+  for (const SimulationResult& r : {fast2, loop2}) {
+    EXPECT_EQ(r.outcomes[y.index()][0].status, ReplicaStatus::kDead);
+    EXPECT_EQ(r.outcomes[y.index()][0].start, 10.0);
+  }
+}
+
+TEST(Sim, CyclicScheduleStallsOnTheEventLoop) {
+  // a on P0 is queued behind b on P0 yet feeds it.  b also reads a on P1,
+  // so the failure-free times check out, but the wait-for graph has a
+  // cycle: once P1 crashes, b waits forever for a, which waits for P0.
+  TaskGraph g;
+  const TaskId a = g.add_task("a");
+  const TaskId b = g.add_task("b");
+  g.add_edge(a, b, 1.0);
+  const Platform platform(2, 1.0);
+  const CostModel costs(g, platform,
+                        std::vector<std::vector<double>>(2, {1.0, 1.0}));
+  ReplicatedSchedule s(costs, 1, "hand");
+  s.place_task(a, {at(0, 3, 4), at(1, 0, 1)});
+  s.place_task(b, {at(0, 2, 3), at(1, 1, 2)});
+  s.set_channels(0, {{1, 0}, {0, 0}, {1, 1}});
+  EXPECT_FALSE(wait_for_graph(s).acyclic());
+  EXPECT_THROW(s.validate(), Error);
+
+  FailureScenario crash;
+  crash.add(ProcId{1u}, 0.0);
+  const SimulationResult r = simulate(s, crash);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.outcomes[a.index()][0].status, ReplicaStatus::kNotStarted);
+  EXPECT_EQ(r.outcomes[b.index()][0].status, ReplicaStatus::kNotStarted);
 }
 
 // ---------------------------------------------------------------- contention
