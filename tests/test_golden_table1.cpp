@@ -31,8 +31,8 @@ namespace {
 
 const char* kGoldenPath = FTSCHED_SOURCE_DIR "/tests/golden/table1_bounds.txt";
 
-/// Golden rows use small task counts so the test stays fast (FTBAR is
-/// O(P·N³)); the RNG chain is identical to run_table1's for these rows.
+/// Golden rows use small task counts so the test stays fast; the RNG chain
+/// is identical to run_table1's for these rows.
 Table1Config golden_config() {
   Table1Config config;  // deliberately NOT table1_config(): no env overrides
   config.task_counts = {100, 300};
@@ -53,10 +53,18 @@ std::string render_golden(const Table1Config& config) {
   for (std::size_t v : config.task_counts) {
     Rng rng = root.split();
     const auto workload = make_table1_workload(rng, v, config);
-    for (const char* algo : {"ftsa", "mc-ftsa", "ftbar"}) {
-      const auto schedule =
-          make_scheduler(std::string(algo) + ":eps=" + eps)
-              ->run(workload->costs());
+    // The three Table-1 contenders, then FTSA under the two tie-heavy
+    // free-task priorities: prio=random gives every task priority 0, so
+    // only the random tie key orders α, and equal bottom levels are common.
+    for (const std::string algo :
+         {"ftsa", "mc-ftsa", "ftbar", "ftsa:prio=bl", "ftsa:prio=random"}) {
+      const auto colon = algo.find(':');
+      const std::string spec =
+          colon == std::string::npos
+              ? algo + ":eps=" + eps
+              : algo.substr(0, colon) + ":eps=" + eps + "," +
+                    algo.substr(colon + 1);
+      const auto schedule = make_scheduler(spec)->run(workload->costs());
       os << v << ' ' << algo << ' ' << schedule.lower_bound() << ' '
          << schedule.upper_bound() << ' '
          << schedule.interproc_message_count() << '\n';
