@@ -1,9 +1,8 @@
-// google-benchmark microbenches for the substrates: AVL priority list,
-// Hopcroft–Karp matching, DAG generation, bottom-level computation, and
-// the execution simulator.
+// google-benchmark microbenches for the substrates: Hopcroft–Karp
+// matching, DAG generation, bottom-level computation, and the execution
+// simulator.
 #include <benchmark/benchmark.h>
 
-#include "ftsched/core/avl.hpp"
 #include "ftsched/core/matching.hpp"
 #include "ftsched/core/scheduler.hpp"
 #include "ftsched/core/priorities.hpp"
@@ -14,20 +13,6 @@
 namespace {
 
 using namespace ftsched;
-
-void BM_AvlInsertExtract(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<double> keys(n);
-  for (double& k : keys) k = rng.uniform();
-  for (auto _ : state) {
-    AvlTree<double> tree;
-    for (double k : keys) tree.insert(k);
-    while (!tree.empty()) benchmark::DoNotOptimize(tree.extract_max());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_AvlInsertExtract)->Arg(256)->Arg(4096);
 
 void BM_HopcroftKarp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -41,7 +41,6 @@
 #include "ftsched/workload/workload_registry.hpp"
 
 // core: the schedulers and schedule tooling.
-#include "ftsched/core/avl.hpp"
 #include "ftsched/core/bicriteria.hpp"
 #include "ftsched/core/cpop.hpp"
 #include "ftsched/core/ftbar.hpp"

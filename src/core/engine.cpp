@@ -2,9 +2,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <queue>
 #include <string>
 
-#include "ftsched/core/avl.hpp"
 #include "ftsched/core/matching.hpp"
 #include "ftsched/core/placement.hpp"
 #include "ftsched/core/priorities.hpp"
@@ -19,7 +19,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// α entries: ordered by criticalness, then a random tie-break key (the
-/// paper breaks ties randomly), then task id for full determinism.
+/// paper breaks ties randomly), then task id for full determinism.  The
+/// paper keeps α in an AVL tree (§4.1); a binary heap gives the same
+/// O(log ω) insert and head extraction and the same pop order, because
+/// this key is a total order (task ids are unique within a run).
 struct AlphaKey {
   double priority = 0.0;
   std::uint64_t tie = 0;
@@ -125,7 +128,8 @@ class Engine {
 
     std::size_t scheduled = 0;
     while (!alpha_.empty()) {
-      const TaskId t = alpha_.extract_max().task;
+      const TaskId t = alpha_.top().task;
+      alpha_.pop();
       schedule_task(t);
       ++scheduled;
       for (std::size_t e : g_.out_edges(t)) {
@@ -155,7 +159,7 @@ class Engine {
         priority = 0.0;  // the random tie key decides
         break;
     }
-    alpha_.insert(AlphaKey{priority, rng_(), t});
+    alpha_.push(AlphaKey{priority, rng_(), t});
   }
 
   /// Paper §4.1 dynamic top level: worst-case outgoing link from the
@@ -643,7 +647,7 @@ class Engine {
   std::size_t replica_count_;
   ReplicatedSchedule schedule_;
   Rng rng_;
-  AvlTree<AlphaKey> alpha_;
+  std::priority_queue<AlphaKey> alpha_;
   std::vector<std::size_t> pending_;
   // Factored into core/placement.hpp so the online rescheduling policies
   // share the same incremental availability state (see reschedule.cpp).
