@@ -1,6 +1,5 @@
-// google-benchmark microbenches for the three schedulers, the Table-1
-// complexity story as a microbench: FTSA / MC-FTSA stay near-linear in the
-// task count, FTBAR grows cubically.
+// google-benchmark microbenches for the three schedulers: Table 1's running
+// times as a microbench, per scheduler and task count.
 #include <benchmark/benchmark.h>
 
 #include "ftsched/core/scheduler.hpp"

@@ -7,9 +7,12 @@
 // start of ti on pj; s: static latest-start bottom level; R: current
 // schedule length).  Each free task keeps its Npf+1 minimum-pressure
 // processors; the free task whose kept set is most *urgent* (maximum σ)
-// is scheduled on all of them.  Complexity O(P·N³): the full pressure
-// table is recomputed every step — this is the complexity gap Table 1
-// demonstrates against FTSA.
+// is scheduled on all of them.  The paper's FTBAR recomputes the full
+// pressure table every step, O(P·N³).  Here each step still evaluates σ for
+// every free task on every processor, but the message-arrival part of
+// S(ti, pj) is memoised per task and recomputed only after a predecessor
+// gains a replica, so on the Table-1 workload FTBAR grows at about the same
+// rate as FTSA (EXPERIMENTS.md records the measured slopes).
 //
 // The recursive Minimize-Start-Time duplication of Ahmad & Kwok is
 // implemented one level deep: after the processors are chosen, the

@@ -63,12 +63,9 @@ struct Table1Config {
   std::size_t epsilon = 5;      ///< paper: 5 supported failures
   std::size_t repetitions = 3;  ///< timing repetitions per size
   std::uint64_t seed = 42;
-  /// FTBAR is O(P·N³); sizes above this are skipped for FTBAR unless
-  /// FTSCHED_FULL=1 (the paper itself reports 465 s at N=5000).
-  std::size_t ftbar_task_limit = 2000;
 };
 
-/// Honors FTSCHED_SEED / FTSCHED_REPS / FTSCHED_FULL.
+/// Honors FTSCHED_SEED / FTSCHED_REPS.
 [[nodiscard]] Table1Config table1_config();
 
 }  // namespace ftsched

@@ -93,9 +93,9 @@ struct InstanceOptions {
 /// simulated under many (scenario, failure) cells.  This is the
 /// schedule-once/simulate-many seam the grouped sweep engine
 /// (experiments/sweep_plan.hpp) exploits: scheduling dominates the
-/// per-instance cost (FTBAR is cubic), so reusing it across S×F cells
-/// removes the hot path's redundant work.  `workload` must outlive the
-/// bundle (the schedules point into its cost model).
+/// per-instance cost, so reusing it across S×F cells removes the hot path's
+/// redundant work.  `workload` must outlive the bundle (the schedules point
+/// into its cost model).
 struct InstanceSchedules {
   struct Algo {
     InstanceAlgo algo;

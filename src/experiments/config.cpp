@@ -1,7 +1,5 @@
 #include "ftsched/experiments/config.hpp"
 
-#include <limits>
-
 #include "ftsched/util/cli.hpp"
 #include "ftsched/util/error.hpp"
 
@@ -46,9 +44,6 @@ Table1Config table1_config() {
   Table1Config config;
   config.seed = static_cast<std::uint64_t>(env_int("FTSCHED_SEED", 42));
   config.repetitions = static_cast<std::size_t>(env_int("FTSCHED_REPS", 3));
-  if (env_int("FTSCHED_FULL", 0) != 0) {
-    config.ftbar_task_limit = std::numeric_limits<std::size_t>::max();
-  }
   return config;
 }
 

@@ -1,6 +1,5 @@
 #include "ftsched/experiments/figures.hpp"
 
-#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -130,20 +129,12 @@ void run_table1(std::ostream& os, const Table1Config& config) {
      << ", epsilon=" << config.epsilon << ", reps=" << config.repetitions
      << ") ===\n";
   TextTable table({"tasks", "FTSA", "MC-FTSA", "FTBAR"});
-  // The timed contenders, resolved once through the registry.  FTBAR is
-  // O(P·N³); it is skipped above the configured task limit.
+  // The timed contenders, resolved once through the registry.
   const std::string eps_opt = ":eps=" + std::to_string(config.epsilon);
-  struct Contender {
-    SchedulerPtr scheduler;
-    std::size_t task_limit;
-  };
-  std::vector<Contender> contenders;
-  contenders.push_back({make_scheduler("ftsa" + eps_opt),
-                        std::numeric_limits<std::size_t>::max()});
-  contenders.push_back({make_scheduler("mc-ftsa" + eps_opt),
-                        std::numeric_limits<std::size_t>::max()});
-  contenders.push_back(
-      {make_scheduler("ftbar" + eps_opt), config.ftbar_task_limit});
+  std::vector<SchedulerPtr> contenders;
+  for (const char* algo : {"ftsa", "mc-ftsa", "ftbar"}) {
+    contenders.push_back(make_scheduler(algo + eps_opt));
+  }
 
   Rng root(config.seed);
   for (std::size_t v : config.task_counts) {
@@ -154,20 +145,15 @@ void run_table1(std::ostream& os, const Table1Config& config) {
     std::vector<double> times(contenders.size(), 0.0);
     for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
       for (std::size_t ci = 0; ci < contenders.size(); ++ci) {
-        if (v > contenders[ci].task_limit) continue;
         Stopwatch sw;
-        const auto s = contenders[ci].scheduler->run(costs);
+        const auto s = contenders[ci]->run(costs);
         times[ci] += sw.seconds();
         (void)s;
       }
     }
     const double reps = static_cast<double>(config.repetitions);
     std::vector<std::string> row{std::to_string(v)};
-    for (std::size_t ci = 0; ci < contenders.size(); ++ci) {
-      row.push_back(v <= contenders[ci].task_limit
-                        ? format_double(times[ci] / reps, 4)
-                        : std::string("(skipped; set FTSCHED_FULL=1)"));
-    }
+    for (double t : times) row.push_back(format_double(t / reps, 4));
     table.add_row(std::move(row));
   }
   table.print(os);
