@@ -58,13 +58,9 @@ std::string render_golden(const Table1Config& config) {
     // only the random tie key orders α, and equal bottom levels are common.
     for (const std::string algo :
          {"ftsa", "mc-ftsa", "ftbar", "ftsa:prio=bl", "ftsa:prio=random"}) {
-      const auto colon = algo.find(':');
-      const std::string spec =
-          colon == std::string::npos
-              ? algo + ":eps=" + eps
-              : algo.substr(0, colon) + ":eps=" + eps + "," +
-                    algo.substr(colon + 1);
-      const auto schedule = make_scheduler(spec)->run(workload->costs());
+      const char* sep = algo.find(':') == std::string::npos ? ":" : ",";
+      const auto schedule =
+          make_scheduler(algo + sep + "eps=" + eps)->run(workload->costs());
       os << v << ' ' << algo << ' ' << schedule.lower_bound() << ' '
          << schedule.upper_bound() << ' '
          << schedule.interproc_message_count() << '\n';
