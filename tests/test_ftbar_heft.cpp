@@ -104,6 +104,63 @@ TEST(Ftbar, DeterministicForSameSeed) {
   EXPECT_EQ(a.channel_count(), b.channel_count());
 }
 
+TEST(Ftbar, EqualPressureTiesGoToLowerProcessorIndex) {
+  // Identical costs on 70 identical processors: every σ tie breaks to the
+  // lower index.  The fork's entry task takes processors 0..Npf first; 15
+  // independent tasks with 5 replicas each tile 0..69 in blocks of five,
+  // and the 15th wraps back to 0..4.
+  constexpr std::size_t m = 70;
+  const Platform p(m, 1.0);
+  auto replica_procs = [](const ReplicatedSchedule& s, TaskId t) {
+    std::vector<std::size_t> procs;
+    for (const Replica& r : s.replicas(t)) procs.push_back(r.proc.index());
+    return procs;
+  };
+  auto block = [](std::size_t first, std::size_t count) {
+    std::vector<std::size_t> procs(count);
+    for (std::size_t k = 0; k < count; ++k) procs[k] = first + k;
+    return procs;
+  };
+
+  const TaskGraph fork = make_fork_join(8, ClassicParams{10.0});
+  const CostModel fork_costs(
+      fork, p,
+      std::vector<std::vector<double>>(fork.task_count(),
+                                       std::vector<double>(m, 3.0)));
+  for (std::size_t npf : {0u, 1u, 5u, 69u}) {
+    SCOPED_TRACE("npf=" + std::to_string(npf));
+    FtbarOptions options;
+    options.npf = npf;
+    // Minimize-start-time may append duplicates of the entry task on its
+    // successors' processors; the first Npf+1 replicas are its own.
+    auto procs = replica_procs(ftbar_schedule(fork_costs, options),
+                               fork.entry_tasks().front());
+    ASSERT_GE(procs.size(), npf + 1);
+    procs.resize(npf + 1);
+    EXPECT_EQ(procs, block(0, npf + 1));
+  }
+
+  TaskGraph independent;
+  for (int i = 0; i < 15; ++i) (void)independent.add_task();
+  const CostModel costs(
+      independent, p,
+      std::vector<std::vector<double>>(15, std::vector<double>(m, 3.0)));
+  FtbarOptions options;
+  options.npf = 4;
+  const auto s = ftbar_schedule(costs, options);
+  std::multiset<std::size_t> firsts;
+  for (TaskId t : independent.tasks()) {
+    const auto procs = replica_procs(s, t);
+    ASSERT_EQ(procs.size(), 5u);
+    EXPECT_EQ(procs, block(procs.front(), 5));
+    EXPECT_EQ(procs.front() % 5, 0u);
+    firsts.insert(procs.front());
+  }
+  std::multiset<std::size_t> expected{0};
+  for (std::size_t q = 0; q < 14; ++q) expected.insert(5 * q);
+  EXPECT_EQ(firsts, expected);
+}
+
 // ---------------------------------------------------------------- heft
 
 TEST(Heft, SingleReplicaPerTask) {

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "ftsched/core/ftsa.hpp"
+#include "ftsched/core/mc_ftsa.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/util/error.hpp"
 #include "ftsched/workload/classic.hpp"
@@ -190,6 +191,77 @@ TEST(Ftsa, IndependentTasksNoChannels) {
   // 15 and the last tasks' earliest replicas finish exactly then.
   EXPECT_NEAR(s.lower_bound(), 15.0, 1e-9);
   EXPECT_NEAR(s.upper_bound(), 15.0, 1e-9);
+}
+
+// The processor-selection tie rule: among equal F(t, Pj) the lower
+// processor index wins.  m = 70 spans more than one 64-bit word and is not
+// a multiple of any vector width, so a selection that mishandles a tail or
+// a word boundary shows here.
+constexpr std::size_t kTieProcs = 70;
+
+CostModel uniform_costs(const TaskGraph& g, const Platform& p) {
+  return CostModel(g, p,
+                   std::vector<std::vector<double>>(
+                       g.task_count(), std::vector<double>(kTieProcs, 3.0)));
+}
+
+/// Processor indices of t's replicas, in replica order.
+std::vector<std::size_t> replica_procs(const ReplicatedSchedule& s, TaskId t) {
+  std::vector<std::size_t> procs;
+  for (const Replica& r : s.replicas(t)) procs.push_back(r.proc.index());
+  return procs;
+}
+
+std::vector<std::size_t> block(std::size_t first, std::size_t count) {
+  std::vector<std::size_t> procs(count);
+  for (std::size_t k = 0; k < count; ++k) procs[k] = first + k;
+  return procs;
+}
+
+TEST(Ftsa, EqualFinishTiesGoToLowerProcessorIndex) {
+  const TaskGraph g = make_fork_join(8, ClassicParams{10.0});
+  const Platform p(kTieProcs, 1.0);
+  const CostModel costs = uniform_costs(g, p);
+  const TaskId entry = g.entry_tasks().front();
+  for (std::size_t eps : {0u, 1u, 5u, 69u}) {
+    SCOPED_TRACE("eps=" + std::to_string(eps));
+    FtsaOptions ftsa;
+    ftsa.epsilon = eps;
+    EXPECT_EQ(replica_procs(ftsa_schedule(costs, ftsa), entry),
+              block(0, eps + 1));
+    for (McSelector selector :
+         {McSelector::kGreedy, McSelector::kBinarySearchMatching}) {
+      McFtsaOptions mc;
+      mc.epsilon = eps;
+      mc.selector = selector;
+      EXPECT_EQ(replica_procs(mc_ftsa_schedule(costs, mc), entry),
+                block(0, eps + 1));
+    }
+  }
+}
+
+TEST(Ftsa, EqualFinishTiesFillProcessorsInIndexOrder) {
+  // 15 independent identical tasks with 5 replicas each on 70 processors:
+  // every task takes the lowest-index idle block of five, so the first 14
+  // tile processors 0..69 and the 15th wraps back to 0..4.
+  TaskGraph g;
+  for (int i = 0; i < 15; ++i) (void)g.add_task();
+  const Platform p(kTieProcs, 1.0);
+  const CostModel costs = uniform_costs(g, p);
+  FtsaOptions options;
+  options.epsilon = 4;
+  const auto s = ftsa_schedule(costs, options);
+  std::multiset<std::size_t> firsts;
+  for (TaskId t : g.tasks()) {
+    const auto procs = replica_procs(s, t);
+    ASSERT_EQ(procs.size(), 5u);
+    EXPECT_EQ(procs, block(procs.front(), 5));
+    EXPECT_EQ(procs.front() % 5, 0u);
+    firsts.insert(procs.front());
+  }
+  std::multiset<std::size_t> expected{0};
+  for (std::size_t q = 0; q < 14; ++q) expected.insert(5 * q);
+  EXPECT_EQ(firsts, expected);
 }
 
 }  // namespace
