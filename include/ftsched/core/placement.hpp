@@ -1,18 +1,77 @@
-// Incremental greedy-placement state shared by the list engine and the
-// online rescheduling policies.
+// Greedy-placement primitives shared by the list engines (FTSA, MC-FTSA,
+// FTBAR) and the online rescheduling policies.
 //
-// Both consumers track "when does each processor become free" and pick
-// targets by the same earliest-finish rule: finish(p) = max(ready(p),
-// earliest(p)) + exec(p), ties broken toward the lower processor index (the
-// engine's stable-sort order).  Factoring the state out of
-// src/core/engine.cpp lets a policy maintain it incrementally across events
-// instead of rebuilding it from the schedule on every crash.
+// - fill_arrival_row: eq. (1), the failure-free data-arrival time of one task
+//   on every processor;
+// - smallest_k: the ε+1 processors with the smallest value, ties broken
+//   toward the lower processor index;
+// - ProcReadyState: "when does each processor become free", with the
+//   earliest-finish rule finish(p) = max(ready(p), earliest(p)) + exec(p)
+//   under the same tie rule, kept incrementally so a policy need not
+//   rebuild it from the schedule on every crash.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "ftsched/core/schedule.hpp"
+#include "ftsched/util/error.hpp"
+
 namespace ftsched {
+
+/// eq. (1) for task `t` on every processor:
+///   row[j] = max over in-edges e of min over the replicas r of e's source
+///            of r.finish + V(e)·d(r.proc, j)
+/// (0 for an entry task).  `sources(task)` returns the replicas placed so
+/// far for `task`.  The loops run replica-outer and processor-inner over
+/// the contiguous delay row d(r.proc, ·), so each inner loop is a
+/// branch-free min or max over m doubles.  min and max are exact and every
+/// (edge, replica) term is formed as before, so the row is bit-identical
+/// to the processor-outer evaluation.  `row` and `best` hold m entries;
+/// `best` is scratch.
+template <typename Sources>
+void fill_arrival_row(const TaskGraph& g, const Platform& platform, TaskId t,
+                      Sources&& sources, std::span<double> row,
+                      std::span<double> best) {
+  const std::size_t m = row.size();
+  std::fill(row.begin(), row.end(), 0.0);
+  for (std::size_t e : g.in_edges(t)) {
+    const Edge& edge = g.edge(e);
+    const double volume = edge.volume;
+    std::fill(best.begin(), best.end(),
+              std::numeric_limits<double>::infinity());
+    for (const Replica& r : sources(edge.src)) {
+      const double* d = platform.delay_row(r.proc).data();
+      const double finish = r.finish;
+      for (std::size_t j = 0; j < m; ++j) {
+        best[j] = std::min(best[j], finish + volume * d[j]);
+      }
+    }
+    for (std::size_t j = 0; j < m; ++j) row[j] = std::max(row[j], best[j]);
+  }
+}
+
+/// The `k` smallest (values[j], j) pairs, as processor ids in ascending
+/// order: exactly the first k entries of a stable sort of 0..m-1 by value,
+/// so equal values go to the lower index.  Keeps a sorted array of k by
+/// insertion, O(m) when most values lose to the current k-th.
+inline void smallest_k(std::span<const double> values, std::size_t k,
+                       std::vector<ProcId>& kept) {
+  FTSCHED_ASSERT(k > 0 && k <= values.size(), "k out of range");
+  kept.clear();
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    const double v = values[j];
+    // Strict on equality: an earlier index wins the tie.
+    if (kept.size() == k && v >= values[kept.back().index()]) continue;
+    std::size_t pos = kept.size();
+    while (pos > 0 && v < values[kept[pos - 1].index()]) --pos;
+    if (kept.size() == k) kept.pop_back();
+    kept.insert(kept.begin() + static_cast<std::ptrdiff_t>(pos), ProcId{j});
+  }
+}
 
 /// Per-processor availability (the engine's `ready` array) plus the shared
 /// earliest-finish selection rule.

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "ftsched/util/error.hpp"
 #include "ftsched/util/ids.hpp"
 
 namespace ftsched {
@@ -28,7 +30,17 @@ class Platform {
   [[nodiscard]] std::vector<ProcId> procs() const;
 
   /// d(Pk, Ph): time to send one data unit from k to h. d(k,k) == 0.
-  [[nodiscard]] double delay(ProcId from, ProcId to) const;
+  [[nodiscard]] double delay(ProcId from, ProcId to) const {
+    FTSCHED_REQUIRE(from.index() < m_ && to.index() < m_,
+                    "processor id out of range");
+    return delay_[from.index() * m_ + to.index()];
+  }
+
+  /// The contiguous row d(from, ·): m entries, indexed by destination.
+  [[nodiscard]] std::span<const double> delay_row(ProcId from) const {
+    FTSCHED_REQUIRE(from.index() < m_, "processor id out of range");
+    return {delay_.data() + from.index() * m_, m_};
+  }
 
   /// Average of d over ordered pairs k != h (the paper's d̄).
   [[nodiscard]] double average_delay() const noexcept { return avg_delay_; }

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <string>
 
@@ -233,9 +232,23 @@ class Engine {
   }
 
   /// eq. (1): failure-free data-arrival time of task `t` on processor j,
-  /// taking for each predecessor the best replica channel.
-  void arrival_times(TaskId t, std::vector<double>& arrival) const {
-    arrival.assign(m_, 0.0);
+  /// taking for each predecessor the best replica channel.  Without
+  /// communication awareness every channel arrives at finish + V·d, which
+  /// the shared contiguous kernel evaluates; with it, each channel also
+  /// waits for a send port.
+  void arrival_times(TaskId t, std::vector<double>& arrival) {
+    arrival.resize(m_);
+    if (!options_.comm.enabled()) {
+      best_scratch_.resize(m_);
+      fill_arrival_row(
+          g_, platform_, t,
+          [this](TaskId src) -> const std::vector<Replica>& {
+            return schedule_.replicas(src);
+          },
+          arrival, best_scratch_);
+      return;
+    }
+    std::fill(arrival.begin(), arrival.end(), 0.0);
     for (std::size_t e : g_.in_edges(t)) {
       const Edge& edge = g_.edge(e);
       for (std::size_t j = 0; j < m_; ++j) {
@@ -255,21 +268,14 @@ class Engine {
   /// next call).
   const std::vector<ProcId>& choose_processors(
       const std::vector<double>& finish) {
-    chosen_scratch_.clear();
     if (options_.random_placement) {
+      chosen_scratch_.clear();
       for (std::size_t j : rng_.sample_without_replacement(m_, replica_count_)) {
         chosen_scratch_.emplace_back(j);
       }
       return chosen_scratch_;
     }
-    order_scratch_.resize(m_);
-    std::iota(order_scratch_.begin(), order_scratch_.end(), std::size_t{0});
-    std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
-                     [&finish](std::size_t a, std::size_t b) {
-                       return finish[a] < finish[b];
-                     });
-    for (std::size_t i = 0; i < replica_count_; ++i)
-      chosen_scratch_.emplace_back(order_scratch_[i]);
+    smallest_k(finish, replica_count_, chosen_scratch_);
     return chosen_scratch_;
   }
 
@@ -659,7 +665,7 @@ class Engine {
   // per-task vectors in the O(v) loop otherwise allocate v times per run.
   std::vector<double> arrival_scratch_;
   std::vector<double> finish_scratch_;
-  std::vector<std::size_t> order_scratch_;
+  std::vector<double> best_scratch_;
   std::vector<ProcId> chosen_scratch_;
   std::vector<ChannelCandidate> candidate_scratch_;
   std::vector<double> weight_scratch_;

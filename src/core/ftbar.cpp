@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "ftsched/core/placement.hpp"
 #include "ftsched/core/priorities.hpp"
 #include "ftsched/util/error.hpp"
 #include "ftsched/util/rng.hpp"
@@ -90,9 +92,8 @@ class FtbarEngine {
   /// change.  Recomputing lazily here turns the selection loop's
   /// per-round replica × proc × in-edge walk into an O(in-degree) validity
   /// check for the (common) unchanged tasks, which is what cuts FTBAR's
-  /// cubic inner loop.  The recomputation iterates exactly like the
-  /// original earliest_start fold, so every cached double is bit-identical
-  /// to the value the unmemoised loop would produce.
+  /// cubic inner loop.  The recomputation is the shared eq.-(1) kernel,
+  /// whose rows are bit-identical to the per-processor edge_arrival fold.
   const double* arrival_row(TaskId t) {
     const std::size_t ti = t.index();
     bool valid = row_stamp_[ti] != 0;
@@ -106,13 +107,12 @@ class FtbarEngine {
     }
     double* row = arrival_rows_.data() + ti * m_;
     if (!valid) {
-      for (std::size_t j = 0; j < m_; ++j) {
-        double arrival = 0.0;
-        for (std::size_t e : g_.in_edges(t)) {
-          arrival = std::max(arrival, edge_arrival(g_.edge(e), ProcId{j}));
-        }
-        row[j] = arrival;
-      }
+      fill_arrival_row(
+          g_, platform_, t,
+          [this](TaskId src) -> const std::vector<Replica>& {
+            return replicas_[src.index()];
+          },
+          std::span<double>(row, m_), sigma_);
       row_stamp_[ti] = global_rev_;
     }
     return row;
@@ -125,39 +125,25 @@ class FtbarEngine {
     std::vector<ProcId> best_procs;
     double best_urgency = -kInf;
     std::uint64_t best_tie = 0;
-    // Partial selection scratch: the n_rep_ smallest (sigma, index) pairs
-    // in ascending lexicographic order — exactly the first n_rep_ entries
-    // a stable sort of the index range by sigma would produce.
-    kept_.reserve(n_rep_);
     for (std::size_t slot = 0; slot < free_.size(); ++slot) {
       const TaskId t = free_[slot];
       // σ(t, pj) = S(t, pj) + s(t) − R; the task-constant terms do not
       // change the per-task argmin but do enter the urgency comparison.
       const double* arrival = arrival_row(t);
       const double shift = bl_[t.index()] - schedule_length_;
-      kept_.clear();
       for (std::size_t j = 0; j < m_; ++j) {
-        const double sigma = std::max(arrival[j], ready_[j]) + shift;
-        sigma_[j] = sigma;
-        // Insert into the kept set iff it beats the current worst (strict:
-        // on equal sigma the earlier index wins, matching stable sort).
-        if (kept_.size() == n_rep_ && sigma >= sigma_[kept_.back()]) continue;
-        std::size_t pos = kept_.size();
-        while (pos > 0 && sigma < sigma_[kept_[pos - 1]]) --pos;
-        if (kept_.size() == n_rep_) kept_.pop_back();
-        kept_.insert(kept_.begin() + static_cast<std::ptrdiff_t>(pos), j);
+        sigma_[j] = std::max(arrival[j], ready_[j]) + shift;
       }
+      smallest_k(sigma_, n_rep_, kept_);
       // Urgency of t: the maximum pressure within its kept set.
-      const double urgency = sigma_[kept_.back()];
+      const double urgency = sigma_[kept_.back().index()];
       const std::uint64_t tie = rng_();
       if (urgency > best_urgency ||
           (urgency == best_urgency && tie > best_tie)) {
         best_urgency = urgency;
         best_tie = tie;
         best_slot = slot;
-        best_procs.clear();
-        best_procs.reserve(n_rep_);
-        for (std::size_t j : kept_) best_procs.emplace_back(j);
+        best_procs = kept_;
       }
     }
     return {best_slot, std::move(best_procs)};
@@ -337,13 +323,13 @@ class FtbarEngine {
   double schedule_length_ = 0.0;
   // Arrival-row memo (task × processor) with replica-list revisions; see
   // arrival_row().  sigma_ and kept_ are per-round scratch hoisted out of
-  // the selection loop.
+  // the selection loop; sigma_ doubles as the kernel's scratch row.
   std::vector<double> arrival_rows_;
   std::vector<std::uint64_t> row_stamp_;
   std::vector<std::uint64_t> list_rev_;
   std::uint64_t global_rev_ = 1;
   std::vector<double> sigma_;
-  std::vector<std::size_t> kept_;
+  std::vector<ProcId> kept_;
 };
 
 }  // namespace

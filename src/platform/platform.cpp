@@ -53,12 +53,6 @@ std::vector<ProcId> Platform::procs() const {
   return result;
 }
 
-double Platform::delay(ProcId from, ProcId to) const {
-  FTSCHED_REQUIRE(from.index() < m_ && to.index() < m_,
-                  "processor id out of range");
-  return delay_[from.index() * m_ + to.index()];
-}
-
 double Platform::max_delay_from(ProcId from) const {
   FTSCHED_REQUIRE(from.index() < m_, "processor id out of range");
   return max_from_[from.index()];
