@@ -1,5 +1,6 @@
 // Greedy-placement primitives shared by the list engines (FTSA, MC-FTSA,
-// FTBAR) and the online rescheduling policies.
+// FTBAR), the gap-filling baselines (HEFT, CPOP) and the online
+// rescheduling policies.
 //
 // - fill_arrival_row: eq. (1), the failure-free data-arrival time of one task
 //   on every processor;
@@ -8,7 +9,9 @@
 // - ProcReadyState: "when does each processor become free", with the
 //   earliest-finish rule finish(p) = max(ready(p), earliest(p)) + exec(p)
 //   under the same tie rule, kept incrementally so a policy need not
-//   rebuild it from the schedule on every crash.
+//   rebuild it from the schedule on every crash;
+// - Slot / earliest_gap / insert_slot: one processor or send-port
+//   timeline of booked intervals and its gap search.
 #pragma once
 
 #include <algorithm>
@@ -121,5 +124,32 @@ class ProcReadyState {
  private:
   std::vector<double> ready_;
 };
+
+/// One booked interval on a processor or send-port timeline.
+struct Slot {
+  double start;
+  double finish;
+};
+
+/// Earliest start >= `ready` of a `duration`-long interval in `slots`
+/// (sorted by start, non-overlapping): the first gap that fits, else the
+/// end of the last slot.
+inline double earliest_gap(const std::vector<Slot>& slots, double ready,
+                           double duration) {
+  double candidate = ready;
+  for (const Slot& s : slots) {
+    if (candidate + duration <= s.start + 1e-12) break;
+    candidate = std::max(candidate, s.finish);
+  }
+  return candidate;
+}
+
+/// Books `s` into `slots`, keeping them sorted by start.
+inline void insert_slot(std::vector<Slot>& slots, Slot s) {
+  const auto pos = std::lower_bound(
+      slots.begin(), slots.end(), s,
+      [](const Slot& a, const Slot& b) { return a.start < b.start; });
+  slots.insert(pos, s);
+}
 
 }  // namespace ftsched

@@ -5,36 +5,11 @@
 #include <queue>
 #include <vector>
 
+#include "ftsched/core/placement.hpp"
 #include "ftsched/core/priorities.hpp"
 #include "ftsched/util/error.hpp"
 
 namespace ftsched {
-
-namespace {
-
-struct Slot {
-  double start;
-  double finish;
-};
-
-double earliest_slot(const std::vector<Slot>& slots, double ready,
-                     double duration) {
-  double candidate = ready;
-  for (const Slot& s : slots) {
-    if (candidate + duration <= s.start + 1e-12) return candidate;
-    candidate = std::max(candidate, s.finish);
-  }
-  return candidate;
-}
-
-void insert_slot(std::vector<Slot>& slots, Slot s) {
-  const auto pos = std::lower_bound(
-      slots.begin(), slots.end(), s,
-      [](const Slot& a, const Slot& b) { return a.start < b.start; });
-  slots.insert(pos, s);
-}
-
-}  // namespace
 
 ReplicatedSchedule cpop_schedule(const CostModel& costs) {
   const TaskGraph& g = costs.graph();
@@ -117,7 +92,7 @@ ReplicatedSchedule cpop_schedule(const CostModel& costs) {
       }
       const double duration = costs.exec(t, pj);
       const double start =
-          earliest_slot(timeline[pj.index()], arrival, duration);
+          earliest_gap(timeline[pj.index()], arrival, duration);
       return Replica{pj, start, start + duration, start, start + duration};
     };
     Replica best;

@@ -34,12 +34,6 @@ struct AlphaKey {
   }
 };
 
-/// A booked send interval on one port lane (communication awareness).
-struct SendSlot {
-  double start;
-  double finish;
-};
-
 /// One candidate channel of the §4.2 bipartite graph.
 struct ChannelCandidate {
   std::size_t left;    // replica index of the predecessor
@@ -110,7 +104,7 @@ class Engine {
     }
     if (options_.comm.enabled()) {
       send_lanes_.assign(
-          m_, std::vector<std::vector<SendSlot>>(options_.comm.ports));
+          m_, std::vector<std::vector<Slot>>(options_.comm.ports));
     }
   }
 
@@ -177,18 +171,6 @@ class Engine {
     return tl;
   }
 
-  /// Earliest start >= ready of a `duration`-long send in `lane`
-  /// (gap-aware, like the one-port simulator's work-conserving ports).
-  static double lane_gap(const std::vector<SendSlot>& lane, double ready,
-                         double duration) {
-    double candidate = ready;
-    for (const SendSlot& s : lane) {
-      if (candidate + duration <= s.start + 1e-12) break;
-      candidate = std::max(candidate, s.finish);
-    }
-    return candidate;
-  }
-
   /// Best (lane, send start) over the source processor's port lanes.
   std::pair<std::size_t, double> best_lane(ProcId src_proc, double ready,
                                            double duration) const {
@@ -196,7 +178,8 @@ class Engine {
     std::size_t best = 0;
     double best_start = kInf;
     for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-      const double start = lane_gap(lanes[lane], ready, duration);
+      // Gap-aware, like the one-port simulator's work-conserving ports.
+      const double start = earliest_gap(lanes[lane], ready, duration);
       if (start < best_start) {
         best_start = start;
         best = lane;
@@ -223,12 +206,8 @@ class Engine {
     if (duration <= 0.0) return;
     const auto [lane_index, start] =
         best_lane(src.proc, src.finish, duration);
-    auto& lane = send_lanes_[src.proc.index()][lane_index];
-    const SendSlot slot{start, start + duration};
-    const auto pos = std::lower_bound(
-        lane.begin(), lane.end(), slot,
-        [](const SendSlot& a, const SendSlot& b) { return a.start < b.start; });
-    lane.insert(pos, slot);
+    insert_slot(send_lanes_[src.proc.index()][lane_index],
+                Slot{start, start + duration});
   }
 
   /// eq. (1): failure-free data-arrival time of task `t` on processor j,
@@ -674,7 +653,7 @@ class Engine {
   /// Per processor, per port lane: booked send intervals sorted by start
   /// (empty when the engine is communication-unaware; see
   /// core/comm_awareness.hpp).
-  std::vector<std::vector<std::vector<SendSlot>>> send_lanes_;
+  std::vector<std::vector<std::vector<Slot>>> send_lanes_;
 };
 
 }  // namespace

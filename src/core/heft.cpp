@@ -2,44 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <vector>
 
+#include "ftsched/core/placement.hpp"
 #include "ftsched/core/priorities.hpp"
 #include "ftsched/util/error.hpp"
 
 namespace ftsched {
-
-namespace {
-
-struct Slot {
-  double start;
-  double finish;
-};
-
-/// Earliest start >= ready on processor timeline `slots` for a task of
-/// length `duration`, using gap insertion when enabled.
-double earliest_slot(const std::vector<Slot>& slots, double ready,
-                     double duration, bool insertion) {
-  if (slots.empty()) return ready;
-  if (!insertion) return std::max(ready, slots.back().finish);
-  // Try the gap before each slot, then after the last one.
-  double candidate = ready;
-  for (const Slot& s : slots) {
-    if (candidate + duration <= s.start + 1e-12) return candidate;
-    candidate = std::max(candidate, s.finish);
-  }
-  return candidate;
-}
-
-void insert_slot(std::vector<Slot>& slots, Slot s) {
-  const auto pos = std::lower_bound(
-      slots.begin(), slots.end(), s,
-      [](const Slot& a, const Slot& b) { return a.start < b.start; });
-  slots.insert(pos, s);
-}
-
-}  // namespace
 
 ReplicatedSchedule heft_schedule(const CostModel& costs,
                                  const HeftOptions& options) {
@@ -85,8 +54,11 @@ ReplicatedSchedule heft_schedule(const CostModel& costs,
                                             platform.delay(src.proc, pj));
       }
       const double duration = costs.exec(t, pj);
-      const double start =
-          earliest_slot(timeline[j], arrival, duration, options.insertion);
+      // Without insertion a task may only go after the processor's last.
+      const std::vector<Slot>& slots = timeline[j];
+      const double start = options.insertion || slots.empty()
+                               ? earliest_gap(slots, arrival, duration)
+                               : std::max(arrival, slots.back().finish);
       if (start + duration < best_finish) {
         best_finish = start + duration;
         best = Replica{pj, start, start + duration, start, start + duration};
