@@ -128,7 +128,10 @@ void run_table1(std::ostream& os, const Table1Config& config) {
   os << "=== Table 1: running times in seconds (m=" << config.proc_count
      << ", epsilon=" << config.epsilon << ", reps=" << config.repetitions
      << ") ===\n";
-  TextTable table({"tasks", "FTSA", "MC-FTSA", "FTBAR"});
+  // Seconds per schedule, then microseconds per edge: at fixed m the
+  // paper's O(e·m² + v·log ω) bound for FTSA is linear in e.
+  TextTable table({"tasks", "edges", "FTSA", "MC-FTSA", "FTBAR", "FTSA us/e",
+                   "MC-FTSA us/e", "FTBAR us/e"});
   // The timed contenders, resolved once through the registry.
   const std::string eps_opt = ":eps=" + std::to_string(config.epsilon);
   std::vector<SchedulerPtr> contenders;
@@ -152,8 +155,15 @@ void run_table1(std::ostream& os, const Table1Config& config) {
       }
     }
     const double reps = static_cast<double>(config.repetitions);
-    std::vector<std::string> row{std::to_string(v)};
+    const std::size_t edges = costs.graph().edge_count();
+    std::vector<std::string> row{std::to_string(v), std::to_string(edges)};
     for (double t : times) row.push_back(format_double(t / reps, 4));
+    for (double t : times) {
+      row.push_back(edges == 0 ? "-"
+                               : format_double(t / reps * 1e6 /
+                                                   static_cast<double>(edges),
+                                               2));
+    }
     table.add_row(std::move(row));
   }
   table.print(os);
