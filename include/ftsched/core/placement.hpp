@@ -31,10 +31,10 @@ namespace ftsched {
 /// (0 for an entry task).  `sources(task)` returns the replicas placed so
 /// far for `task`.  The loops run replica-outer and processor-inner over
 /// the contiguous delay row d(r.proc, ·), so each inner loop is a
-/// branch-free min or max over m doubles.  min and max are exact and every
-/// (edge, replica) term is formed as before, so the row is bit-identical
-/// to the processor-outer evaluation.  `row` and `best` hold m entries;
-/// `best` is scratch.
+/// branch-free min or max over m doubles that the compiler vectorises.
+/// min and max are exact, so the row does not depend on the loop order;
+/// the build's -ffp-contract=off keeps finish + V·d two roundings on FMA
+/// targets.  `row` and `best` hold m entries; `best` is scratch.
 template <typename Sources>
 void fill_arrival_row(const TaskGraph& g, const Platform& platform, TaskId t,
                       Sources&& sources, std::span<double> row,

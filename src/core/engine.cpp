@@ -216,8 +216,8 @@ class Engine {
   /// the shared contiguous kernel evaluates; with it, each channel also
   /// waits for a send port.
   void arrival_times(TaskId t, std::vector<double>& arrival) {
-    arrival.resize(m_);
     if (!options_.comm.enabled()) {
+      arrival.resize(m_);
       best_scratch_.resize(m_);
       fill_arrival_row(
           g_, platform_, t,
@@ -227,7 +227,7 @@ class Engine {
           arrival, best_scratch_);
       return;
     }
-    std::fill(arrival.begin(), arrival.end(), 0.0);
+    arrival.assign(m_, 0.0);
     for (std::size_t e : g_.in_edges(t)) {
       const Edge& edge = g_.edge(e);
       for (std::size_t j = 0; j < m_; ++j) {

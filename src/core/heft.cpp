@@ -54,7 +54,7 @@ ReplicatedSchedule heft_schedule(const CostModel& costs,
                                             platform.delay(src.proc, pj));
       }
       const double duration = costs.exec(t, pj);
-      // Without insertion a task may only go after the processor's last.
+      // Without insertion a task goes after the processor's last slot.
       const std::vector<Slot>& slots = timeline[j];
       const double start = options.insertion || slots.empty()
                                ? earliest_gap(slots, arrival, duration)
