@@ -57,6 +57,16 @@ void fill_arrival_row(const TaskGraph& g, const Platform& platform, TaskId t,
   }
 }
 
+/// fill_arrival_row over the replicas `schedule` has placed so far.
+inline void fill_arrival_row(const ReplicatedSchedule& schedule, TaskId t,
+                             std::span<double> row, std::span<double> best) {
+  const auto sources = [&schedule](TaskId src) -> const std::vector<Replica>& {
+    return schedule.replicas(src);
+  };
+  fill_arrival_row(schedule.graph(), schedule.platform(), t, sources, row,
+                   best);
+}
+
 /// The `k` smallest (values[j], j) pairs, as processor ids in ascending
 /// order: exactly the first k entries of a stable sort of 0..m-1 by value,
 /// so equal values go to the lower index.  Keeps a sorted array of k by

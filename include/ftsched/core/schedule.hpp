@@ -5,6 +5,13 @@
 // FTSA materializes all replica pairs (minus the intra-processor shortcut);
 // MC-FTSA keeps exactly one inbound channel per replica per edge.
 //
+// Storage: channels dominate a schedule's size (up to (ε+1)² per edge), so
+// they all live in one pool.  set_channels(e, ...) appends an edge's channels
+// and records its (begin, count) range, which channels(e) views as a span.
+// A Channel is two 16-bit replica indices: a task's replicas sit on distinct
+// processors and place_task caps their number at 2^16.  replica_index() is
+// the one checked size_t -> 16-bit conversion.
+//
 // Each replica carries two time pairs:
 //  * (start, finish)       — the failure-free (lower-bound) timeline, eq. (1);
 //  * (pess_start, pess_finish) — the all-messages-late timeline, eq. (3),
@@ -13,10 +20,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ftsched/platform/cost_model.hpp"
+#include "ftsched/util/error.hpp"
 #include "ftsched/util/ids.hpp"
 
 namespace ftsched {
@@ -29,19 +38,20 @@ struct Replica {
   double pess_finish = 0.0;
 };
 
+/// Narrows a replica index to 16 bits; throws Error if it does not fit.
+[[nodiscard]] inline std::uint16_t replica_index(std::size_t k) {
+  FTSCHED_REQUIRE(k <= 0xFFFF, "replica index exceeds 16 bits");
+  return static_cast<std::uint16_t>(k);
+}
+
 /// A realized communication: replica `src_replica` of edge.src sends the
 /// edge's data to replica `dst_replica` of edge.dst.
 struct Channel {
-  std::size_t src_replica = 0;
-  std::size_t dst_replica = 0;
-};
-
-/// One replica's slot in a processor timeline.
-struct PlacedReplica {
-  TaskId task;
-  std::size_t replica = 0;
-  double start = 0.0;
-  double finish = 0.0;
+  Channel() = default;
+  Channel(std::size_t src, std::size_t dst)
+      : src_replica(replica_index(src)), dst_replica(replica_index(dst)) {}
+  std::uint16_t src_replica = 0;
+  std::uint16_t dst_replica = 0;
 };
 
 class ReplicatedSchedule {
@@ -67,13 +77,15 @@ class ReplicatedSchedule {
   }
 
   /// Registers the replicas of `t` (must be called once per task, replicas
-  /// on pairwise-distinct processors). Also appends to processor timelines.
-  /// At least ε+1 replicas are required; algorithms using duplication
-  /// (FTBAR's minimize-start-time) may register more.
+  /// on pairwise-distinct processors).  At least ε+1 and at most 2^16
+  /// replicas are required; algorithms using duplication (FTBAR's
+  /// minimize-start-time) may register more than ε+1.
   void place_task(TaskId t, std::vector<Replica> replicas);
 
-  /// Registers the channels realizing graph edge `edge_index`.
-  void set_channels(std::size_t edge_index, std::vector<Channel> channels);
+  /// Registers the channels realizing graph edge `edge_index`, replacing any
+  /// earlier set; the earlier range stays in the pool, unreferenced.
+  void set_channels(std::size_t edge_index,
+                    const std::vector<Channel>& channels);
 
   [[nodiscard]] bool is_placed(TaskId t) const {
     return !replicas_[t.index()].empty();
@@ -81,12 +93,11 @@ class ReplicatedSchedule {
   [[nodiscard]] const std::vector<Replica>& replicas(TaskId t) const {
     return replicas_[t.index()];
   }
-  [[nodiscard]] const std::vector<Channel>& channels(
+  /// The channels of edge `edge_index`; valid until the next set_channels.
+  [[nodiscard]] std::span<const Channel> channels(
       std::size_t edge_index) const {
-    return channels_[edge_index];
-  }
-  [[nodiscard]] const std::vector<PlacedReplica>& timeline(ProcId p) const {
-    return timeline_[p.index()];
+    const ChannelRange r = channel_ranges_[edge_index];
+    return {channel_pool_.data() + r.begin, r.count};
   }
 
   /// Lower bound M* (eq. 2): latency if no processor fails.
@@ -117,7 +128,8 @@ class ReplicatedSchedule {
   /// any invariant is violated:
   ///  * every task placed, exactly ε+1 replicas on distinct processors
   ///    (Prop. 4.1);
-  ///  * replicas on one processor do not overlap in time;
+  ///  * replicas adjacent in a processor's queue (wait_for_graph below) do
+  ///    not overlap in time;
   ///  * execution times match the cost model;
   ///  * every replica has >= 1 inbound channel per incoming edge, and its
   ///    start is >= the earliest channel arrival (failure-free times);
@@ -131,9 +143,10 @@ class ReplicatedSchedule {
   const CostModel* costs_;
   std::size_t epsilon_;
   std::string algorithm_;
-  std::vector<std::vector<Replica>> replicas_;   // per task
-  std::vector<std::vector<Channel>> channels_;   // per edge
-  std::vector<std::vector<PlacedReplica>> timeline_;  // per processor
+  struct ChannelRange { std::uint32_t begin = 0, count = 0; };
+  std::vector<std::vector<Replica>> replicas_;  // per task
+  std::vector<Channel> channel_pool_;           // every edge's channels
+  std::vector<ChannelRange> channel_ranges_;    // per edge, into the pool
   std::vector<TaskId> repaired_;
 };
 
@@ -153,6 +166,7 @@ class ReplicatedSchedule {
 /// replays crash-only runs as one forward pass over `order`.
 struct WaitForGraph {
   std::vector<std::size_t> offset;         ///< task -> flat replica range
+  std::vector<std::uint32_t> task;         ///< flat id -> task
   std::vector<std::size_t> queue_offset;   ///< processor -> range of queue
   std::vector<std::uint32_t> queue;        ///< flat ids, in queue order
   std::vector<std::uint32_t> queue_index;  ///< flat id -> index in queue

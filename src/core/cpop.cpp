@@ -68,7 +68,8 @@ ReplicatedSchedule cpop_schedule(const CostModel& costs) {
   // Priority-driven list scheduling over ready tasks.
   ReplicatedSchedule schedule(costs, /*epsilon=*/0, "CPOP");
   std::vector<std::vector<Slot>> timeline(m);
-  std::vector<Replica> placed(g.task_count());
+  std::vector<double> arrival(m);
+  std::vector<double> scratch(m);
   std::vector<std::size_t> pending(g.task_count());
   for (TaskId t : g.tasks()) pending[t.index()] = g.in_degree(t);
 
@@ -81,18 +82,11 @@ ReplicatedSchedule cpop_schedule(const CostModel& costs) {
   while (!ready.empty()) {
     const TaskId t{ready.top().second};
     ready.pop();
+    fill_arrival_row(schedule, t, arrival, scratch);
     auto eft_on = [&](ProcId pj) {
-      double arrival = 0.0;
-      for (std::size_t e : g.in_edges(t)) {
-        const Edge& edge = g.edge(e);
-        const Replica& src = placed[edge.src.index()];
-        arrival = std::max(arrival, src.finish +
-                                        edge.volume *
-                                            platform.delay(src.proc, pj));
-      }
       const double duration = costs.exec(t, pj);
       const double start =
-          earliest_gap(timeline[pj.index()], arrival, duration);
+          earliest_gap(timeline[pj.index()], arrival[pj.index()], duration);
       return Replica{pj, start, start + duration, start, start + duration};
     };
     Replica best;
@@ -109,7 +103,6 @@ ReplicatedSchedule cpop_schedule(const CostModel& costs) {
       }
     }
     insert_slot(timeline[best.proc.index()], Slot{best.start, best.finish});
-    placed[t.index()] = best;
     schedule.place_task(t, {best});
     ++scheduled;
     for (std::size_t e : g.out_edges(t)) {

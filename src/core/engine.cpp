@@ -4,6 +4,7 @@
 #include <queue>
 #include <string>
 
+#include "ftsched/core/kill_set.hpp"
 #include "ftsched/core/matching.hpp"
 #include "ftsched/core/placement.hpp"
 #include "ftsched/core/priorities.hpp"
@@ -40,49 +41,6 @@ struct ChannelCandidate {
   std::size_t right;   // index into the chosen processor set A(t)
   double weight;       // completion estimate, see §4.2
   bool internal;       // source proc == target proc
-};
-
-/// Set of processors whose individual failure kills a replica (its own
-/// processor, plus — transitively through single-channel edges — the
-/// processors whose failure starves one of its inputs).  Dynamic bitset
-/// over the platform's processors.
-class KillSet {
- public:
-  KillSet() = default;
-  explicit KillSet(std::size_t proc_count)
-      : words_((proc_count + 63) / 64, 0) {}
-
-  void add(ProcId p) noexcept {
-    words_[p.index() / 64] |= std::uint64_t{1} << (p.index() % 64);
-  }
-  /// Re-zeroes for `proc_count` processors, keeping the allocation (scratch
-  /// reuse across tasks).
-  void reset(std::size_t proc_count) {
-    words_.assign((proc_count + 63) / 64, 0);
-  }
-  void merge(const KillSet& other) noexcept {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      words_[i] |= other.words_[i];
-    }
-  }
-  [[nodiscard]] bool intersects(const KillSet& other) const noexcept {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      if (words_[i] & other.words_[i]) return true;
-    }
-    return false;
-  }
-  /// True iff this ∩ universe ⊄ allowed, i.e. this set touches a processor
-  /// of `universe` outside `allowed`.
-  [[nodiscard]] bool conflicts_outside(const KillSet& universe,
-                                       const KillSet& allowed) const noexcept {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      if (words_[i] & universe.words_[i] & ~allowed.words_[i]) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
 };
 
 class Engine {
@@ -219,12 +177,7 @@ class Engine {
     if (!options_.comm.enabled()) {
       arrival.resize(m_);
       best_scratch_.resize(m_);
-      fill_arrival_row(
-          g_, platform_, t,
-          [this](TaskId src) -> const std::vector<Replica>& {
-            return schedule_.replicas(src);
-          },
-          arrival, best_scratch_);
+      fill_arrival_row(schedule_, t, arrival, best_scratch_);
       return;
     }
     arrival.assign(m_, 0.0);
@@ -350,24 +303,24 @@ class Engine {
     for (std::size_t e : g_.in_edges(t)) {
       const Edge& edge = g_.edge(e);
       const auto& src_reps = schedule_.replicas(edge.src);
-      std::vector<Channel> channels;
+      channel_scratch_.clear();
       for (std::size_t dst_k = 0; dst_k < chosen.size(); ++dst_k) {
         const ProcId p = chosen[dst_k];
         bool local = false;
         for (std::size_t src_k = 0; src_k < src_reps.size(); ++src_k) {
           if (src_reps[src_k].proc == p) {
-            channels.push_back(Channel{src_k, dst_k});
+            channel_scratch_.push_back(Channel{src_k, dst_k});
             local = true;
             break;
           }
         }
         if (local) continue;
         for (std::size_t src_k = 0; src_k < src_reps.size(); ++src_k) {
-          channels.push_back(Channel{src_k, dst_k});
+          channel_scratch_.push_back(Channel{src_k, dst_k});
           book_send(src_reps[src_k], edge, p);
         }
       }
-      schedule_.set_channels(e, std::move(channels));
+      schedule_.set_channels(e, channel_scratch_);
     }
   }
 
@@ -459,19 +412,19 @@ class Engine {
     for (std::size_t ei = 0; ei < in_edges.size(); ++ei) {
       const Edge& edge = g_.edge(in_edges[ei]);
       const auto& src_reps = schedule_.replicas(edge.src);
-      std::vector<Channel> channels;
+      channel_scratch_.clear();
       for (std::size_t k = 0; k < n; ++k) {
         if (selected[ei][k] == kFullFallback) {
           for (std::size_t sk = 0; sk < src_reps.size(); ++sk) {
-            channels.push_back(Channel{sk, k});
+            channel_scratch_.push_back(Channel{sk, k});
             book_send(src_reps[sk], edge, chosen[k]);
           }
         } else {
-          channels.push_back(Channel{selected[ei][k], k});
+          channel_scratch_.push_back(Channel{selected[ei][k], k});
           book_send(src_reps[selected[ei][k]], edge, chosen[k]);
         }
       }
-      schedule_.set_channels(in_edges[ei], std::move(channels));
+      schedule_.set_channels(in_edges[ei], channel_scratch_);
     }
   }
 
@@ -649,6 +602,7 @@ class Engine {
   std::vector<ChannelCandidate> candidate_scratch_;
   std::vector<double> weight_scratch_;
   std::vector<char> left_done_scratch_;
+  std::vector<Channel> channel_scratch_;
   KillSet universe_scratch_;
   /// Per processor, per port lane: booked send intervals sorted by start
   /// (empty when the engine is communication-unaware; see

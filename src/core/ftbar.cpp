@@ -270,13 +270,14 @@ class FtbarEngine {
     for (TaskId t : g_.tasks()) {
       schedule.place_task(t, replicas_[t.index()]);
     }
+    std::vector<Channel> channels;
     for (std::size_t e = 0; e < g_.edge_count(); ++e) {
       const Edge& edge = g_.edge(e);
       const auto& src_reps = replicas_[edge.src.index()];
       const auto& src_placed = placed_[edge.src.index()];
       const auto& dst_reps = replicas_[edge.dst.index()];
       const auto& dst_placed = placed_[edge.dst.index()];
-      std::vector<Channel> channels;
+      channels.clear();
       for (std::size_t dk = 0; dk < dst_reps.size(); ++dk) {
         std::size_t local = src_reps.size();
         for (std::size_t sk = 0; sk < src_reps.size(); ++sk) {
@@ -299,7 +300,7 @@ class FtbarEngine {
           }
         }
       }
-      schedule.set_channels(e, std::move(channels));
+      schedule.set_channels(e, channels);
     }
     return schedule;
   }

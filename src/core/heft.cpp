@@ -38,34 +38,27 @@ ReplicatedSchedule heft_schedule(const CostModel& costs,
 
   ReplicatedSchedule schedule(costs, /*epsilon=*/0, "HEFT");
   std::vector<std::vector<Slot>> timeline(m);
-  std::vector<Replica> placed(g.task_count());
+  std::vector<double> arrival(m);
+  std::vector<double> scratch(m);
 
   for (TaskId t : order) {
+    fill_arrival_row(schedule, t, arrival, scratch);
     double best_finish = std::numeric_limits<double>::infinity();
     Replica best;
     for (std::size_t j = 0; j < m; ++j) {
       const ProcId pj{j};
-      double arrival = 0.0;
-      for (std::size_t e : g.in_edges(t)) {
-        const Edge& edge = g.edge(e);
-        const Replica& src = placed[edge.src.index()];
-        arrival = std::max(arrival, src.finish +
-                                        edge.volume *
-                                            platform.delay(src.proc, pj));
-      }
       const double duration = costs.exec(t, pj);
       // Without insertion a task goes after the processor's last slot.
       const std::vector<Slot>& slots = timeline[j];
       const double start = options.insertion || slots.empty()
-                               ? earliest_gap(slots, arrival, duration)
-                               : std::max(arrival, slots.back().finish);
+                               ? earliest_gap(slots, arrival[j], duration)
+                               : std::max(arrival[j], slots.back().finish);
       if (start + duration < best_finish) {
         best_finish = start + duration;
         best = Replica{pj, start, start + duration, start, start + duration};
       }
     }
     insert_slot(timeline[best.proc.index()], Slot{best.start, best.finish});
-    placed[t.index()] = best;
     schedule.place_task(t, {best});
   }
   for (std::size_t e = 0; e < g.edge_count(); ++e) {

@@ -3,60 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ftsched/core/kill_set.hpp"
 #include "ftsched/util/error.hpp"
 
 namespace ftsched {
-
-namespace {
-
-/// Dynamic bitset over processors (mirrors the engine's internal KillSet;
-/// kept separate so the public analysis has no dependency on engine
-/// internals).
-class Bits {
- public:
-  explicit Bits(std::size_t bit_count) : words_((bit_count + 63) / 64, 0) {}
-
-  void set(std::size_t i) noexcept {
-    words_[i / 64] |= std::uint64_t{1} << (i % 64);
-  }
-  void or_with(const Bits& other) noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] |= other.words_[w];
-    }
-  }
-  void and_with(const Bits& other) noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] &= other.words_[w];
-    }
-  }
-  [[nodiscard]] bool intersects(const Bits& other) const noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (words_[w] & other.words_[w]) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] bool empty() const noexcept {
-    for (std::uint64_t w : words_) {
-      if (w) return false;
-    }
-    return true;
-  }
-  /// Index of the lowest set bit; undefined when empty().
-  [[nodiscard]] std::size_t first() const noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (words_[w]) {
-        return w * 64 +
-               static_cast<std::size_t>(__builtin_ctzll(words_[w]));
-      }
-    }
-    return 0;
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
-}  // namespace
 
 std::string RobustnessReport::summary() const {
   std::ostringstream os;
@@ -90,7 +40,7 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
   const std::size_t epsilon = schedule.epsilon();
 
   // kill[task][replica]: processors whose lone crash starves the replica.
-  std::vector<std::vector<Bits>> kill(g.task_count());
+  std::vector<std::vector<KillSet>> kill(g.task_count());
   // certificate_ok stays true while every multi-channel (replica, edge)
   // pair has >= ε+1 sources with pairwise-disjoint kill sets.
   bool certificate_ok = true;
@@ -101,15 +51,15 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
   // behind its destination on the same processor cannot run first.
   const WaitForGraph wait_for = wait_for_graph(schedule);
   report.wait_for_cycle = !wait_for.acyclic();
-  Bits everything(m);
-  for (std::size_t p = 0; p < m; ++p) everything.set(p);
+  KillSet everything(m);
+  for (std::size_t p = 0; p < m; ++p) everything.add(ProcId{p});
 
   for (TaskId t : g.topological_order()) {
     const auto& reps = schedule.replicas(t);
     FTSCHED_REQUIRE(!reps.empty(), "schedule incomplete: task unplaced");
-    kill[t.index()].assign(reps.size(), Bits(m));
+    kill[t.index()].assign(reps.size(), KillSet(m));
     for (std::size_t k = 0; k < reps.size(); ++k) {
-      kill[t.index()][k].set(reps[k].proc.index());
+      kill[t.index()][k].add(reps[k].proc);
     }
     // Accumulate per (replica, in-edge) channel sources.
     for (std::size_t e : g.in_edges(t)) {
@@ -138,11 +88,11 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
           continue;
         }
         // Single crash starves the edge iff it starves *every* source.
-        Bits edge_kill = kill[src_task.index()][sources[k][0]];
+        KillSet edge_kill = kill[src_task.index()][sources[k][0]];
         for (std::size_t i = 1; i < sources[k].size(); ++i) {
-          edge_kill.and_with(kill[src_task.index()][sources[k][i]]);
+          edge_kill.restrict_to(kill[src_task.index()][sources[k][i]]);
         }
-        kill[t.index()][k].or_with(edge_kill);
+        kill[t.index()][k].merge(edge_kill);
         if (sources[k].size() > 1) {
           // Certificate condition for multi-channel pairs: enough sources,
           // pairwise-disjoint kill sets (=> no <= ε coalition starves it).
@@ -164,9 +114,9 @@ RobustnessReport analyze_robustness(const ReplicatedSchedule& schedule) {
       }
     }
     // Single-crash fatality: some processor in every replica's kill set.
-    Bits fatal = kill[t.index()][0];
+    KillSet fatal = kill[t.index()][0];
     for (std::size_t k = 1; k < reps.size(); ++k) {
-      fatal.and_with(kill[t.index()][k]);
+      fatal.restrict_to(kill[t.index()][k]);
     }
     if (!fatal.empty() && epsilon >= 1) {
       report.fatal_processors.emplace_back(fatal.first());

@@ -24,9 +24,8 @@ ReplicatedSchedule::ReplicatedSchedule(const CostModel& costs,
       epsilon_(epsilon),
       algorithm_(std::move(algorithm)),
       replicas_(costs.graph().task_count()),
-      channels_(costs.graph().edge_count()),
-      timeline_(costs.platform().proc_count()) {
-  FTSCHED_REQUIRE(epsilon + 1 <= costs.platform().proc_count(),
+      channel_ranges_(costs.graph().edge_count()) {
+  FTSCHED_REQUIRE(epsilon < costs.platform().proc_count(),
                   "need at least epsilon+1 processors");
 }
 
@@ -35,20 +34,25 @@ void ReplicatedSchedule::place_task(TaskId t, std::vector<Replica> replicas) {
   FTSCHED_REQUIRE(replicas_[t.index()].empty(), "task already placed");
   FTSCHED_REQUIRE(replicas.size() >= replica_count(),
                   "task must have at least epsilon+1 replicas");
-  for (std::size_t k = 0; k < replicas.size(); ++k) {
-    const Replica& r = replicas[k];
-    FTSCHED_REQUIRE(r.proc.index() < timeline_.size(),
+  FTSCHED_REQUIRE(replicas.size() <= std::size_t{1} << 16,
+                  "task has more replicas than 16-bit indices address");
+  for (const Replica& r : replicas) {
+    FTSCHED_REQUIRE(r.proc.index() < platform().proc_count(),
                     "replica on unknown processor");
-    timeline_[r.proc.index()].push_back(
-        PlacedReplica{t, k, r.start, r.finish});
   }
   replicas_[t.index()] = std::move(replicas);
 }
 
 void ReplicatedSchedule::set_channels(std::size_t edge_index,
-                                      std::vector<Channel> channels) {
-  FTSCHED_REQUIRE(edge_index < channels_.size(), "unknown edge");
-  channels_[edge_index] = std::move(channels);
+                                      const std::vector<Channel>& channels) {
+  FTSCHED_REQUIRE(edge_index < channel_ranges_.size(), "unknown edge");
+  FTSCHED_REQUIRE(channel_pool_.size() + channels.size() <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "channel pool exceeds 32-bit offsets");
+  channel_ranges_[edge_index] = {
+      static_cast<std::uint32_t>(channel_pool_.size()),
+      static_cast<std::uint32_t>(channels.size())};
+  channel_pool_.insert(channel_pool_.end(), channels.begin(), channels.end());
 }
 
 double ReplicatedSchedule::lower_bound() const {
@@ -77,9 +81,9 @@ double ReplicatedSchedule::upper_bound() const {
 
 std::size_t ReplicatedSchedule::interproc_message_count() const {
   std::size_t count = 0;
-  for (std::size_t e = 0; e < channels_.size(); ++e) {
+  for (std::size_t e = 0; e < channel_ranges_.size(); ++e) {
     const Edge& edge = graph().edge(e);
-    for (const Channel& c : channels_[e]) {
+    for (const Channel& c : channels(e)) {
       const ProcId src = replicas_[edge.src.index()][c.src_replica].proc;
       const ProcId dst = replicas_[edge.dst.index()][c.dst_replica].proc;
       if (src != dst) ++count;
@@ -90,7 +94,7 @@ std::size_t ReplicatedSchedule::interproc_message_count() const {
 
 std::size_t ReplicatedSchedule::channel_count() const {
   std::size_t count = 0;
-  for (const auto& cs : channels_) count += cs.size();
+  for (const ChannelRange& r : channel_ranges_) count += r.count;
   return count;
 }
 
@@ -127,17 +131,18 @@ void ReplicatedSchedule::validate() const {
                       "pessimistic times must dominate failure-free times");
     }
   }
-  // 2. Processor timelines must not overlap.
-  for (std::size_t p = 0; p < timeline_.size(); ++p) {
-    auto slots = timeline_[p];
-    std::sort(slots.begin(), slots.end(),
-              [](const PlacedReplica& a, const PlacedReplica& b) {
-                return a.start < b.start;
-              });
-    for (std::size_t i = 1; i < slots.size(); ++i) {
-      FTSCHED_REQUIRE(leq(slots[i - 1].finish, slots[i].start),
-                      "overlapping replicas on processor " + std::to_string(p));
-    }
+  // 2. Replicas adjacent in a processor's queue must not overlap.
+  const WaitForGraph wait_for = wait_for_graph(*this);
+  const auto replica_of = [&](std::size_t flat) -> const Replica& {
+    const std::size_t t = wait_for.task[flat];
+    return replicas_[t][flat - wait_for.offset[t]];
+  };
+  for (std::size_t i = 1; i < wait_for.queue.size(); ++i) {
+    const Replica& a = replica_of(wait_for.queue[i - 1]);
+    const Replica& b = replica_of(wait_for.queue[i]);
+    FTSCHED_REQUIRE(a.proc != b.proc || leq(a.finish, b.start),
+                    "overlapping replicas on processor " +
+                        std::to_string(b.proc.value()));
   }
   // 3. Channels: coverage and temporal feasibility (failure-free timeline).
   for (std::size_t e = 0; e < g.edge_count(); ++e) {
@@ -146,10 +151,7 @@ void ReplicatedSchedule::validate() const {
     const auto& dst_reps = replicas_[edge.dst.index()];
     std::vector<double> earliest(dst_reps.size(),
                                  std::numeric_limits<double>::infinity());
-    for (const Channel& c : channels_[e]) {
-      FTSCHED_REQUIRE(c.src_replica < src_reps.size() &&
-                          c.dst_replica < dst_reps.size(),
-                      "channel replica index out of range");
+    for (const Channel& c : channels(e)) {  // in range: wait_for_graph checks
       const Replica& src = src_reps[c.src_replica];
       const Replica& dst = dst_reps[c.dst_replica];
       const double arrival =
@@ -164,15 +166,13 @@ void ReplicatedSchedule::validate() const {
     }
   }
   // 4. No deadlock by construction: the wait-for graph is acyclic.
-  const WaitForGraph wait_for = wait_for_graph(*this);
   if (!wait_for.acyclic()) {
     std::vector<char> ordered(wait_for.queue.size(), 0);
     for (const std::uint32_t flat : wait_for.order) ordered[flat] = 1;
     std::size_t stuck = 0;
     while (ordered[wait_for.queue[stuck]]) ++stuck;
     const std::size_t flat = wait_for.queue[stuck];
-    std::size_t t = 0;
-    while (wait_for.offset[t + 1] <= flat) ++t;
+    const std::size_t t = wait_for.task[flat];
     const std::size_t k = flat - wait_for.offset[t];
     throw Error("cyclic wait-for graph: replica " + std::to_string(k) +
                 " of " + g.label(TaskId{t}) + " on processor " +
@@ -194,9 +194,11 @@ WaitForGraph wait_for_graph(const ReplicatedSchedule& schedule) {
   const std::size_t total = w.offset[v];
   std::vector<std::uint32_t> proc(total);
   std::vector<double> start(total);
+  w.task.resize(total);
   for (std::size_t t = 0; t < v; ++t) {
     const auto& reps = schedule.replicas(TaskId{t});
     for (std::size_t k = 0; k < reps.size(); ++k) {
+      w.task[w.offset[t] + k] = static_cast<std::uint32_t>(t);
       proc[w.offset[t] + k] = reps[k].proc.value();
       start[w.offset[t] + k] = reps[k].start;
     }

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "ftsched/dag/serialize.hpp"
 #include "ftsched/util/error.hpp"
 
 namespace ftsched {
@@ -55,15 +56,16 @@ ReplicatedSchedule read_schedule(std::istream& is, const CostModel& costs,
     std::string kind;
     ls >> kind;
     if (kind == "schedule") {
-      ls >> algorithm >> epsilon;
-      FTSCHED_REQUIRE(!ls.fail(), "malformed schedule header");
+      ls >> algorithm >> UnsignedField{epsilon};
+      FTSCHED_REQUIRE(!ls.fail(), "malformed schedule header on line " +
+                                      std::to_string(line_no));
       saw_header = true;
     } else if (kind == "replica") {
       std::uint32_t task = 0;
       std::uint32_t proc = 0;
       Replica r;
-      ls >> task >> proc >> r.start >> r.finish >> r.pess_start >>
-          r.pess_finish;
+      ls >> UnsignedField{task} >> UnsignedField{proc} >> r.start >>
+          r.finish >> r.pess_start >> r.pess_finish;
       FTSCHED_REQUIRE(!ls.fail(), "malformed replica line " +
                                       std::to_string(line_no));
       r.proc = ProcId{proc};
@@ -71,13 +73,14 @@ ReplicatedSchedule read_schedule(std::istream& is, const CostModel& costs,
     } else if (kind == "channel") {
       std::size_t edge = 0;
       Channel c;
-      ls >> edge >> c.src_replica >> c.dst_replica;
+      ls >> UnsignedField{edge} >> UnsignedField{c.src_replica} >>
+          UnsignedField{c.dst_replica};
       FTSCHED_REQUIRE(!ls.fail(), "malformed channel line " +
                                       std::to_string(line_no));
       channels[edge].push_back(c);
     } else if (kind == "repaired") {
       std::uint32_t task = 0;
-      ls >> task;
+      ls >> UnsignedField{task};
       FTSCHED_REQUIRE(!ls.fail(), "malformed repaired line " +
                                       std::to_string(line_no));
       repaired.emplace_back(task);
@@ -95,7 +98,7 @@ ReplicatedSchedule read_schedule(std::istream& is, const CostModel& costs,
   for (auto& [edge, cs] : channels) {
     FTSCHED_REQUIRE(edge < costs.graph().edge_count(),
                     "channel references unknown edge");
-    schedule.set_channels(edge, std::move(cs));
+    schedule.set_channels(edge, cs);
   }
   schedule.set_repaired_tasks(std::move(repaired));
   if (validate) schedule.validate();

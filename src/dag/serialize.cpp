@@ -50,7 +50,7 @@ TaskGraph read_graph(std::istream& is) {
       std::uint32_t src = 0;
       std::uint32_t dst = 0;
       double volume = 0.0;
-      ls >> src >> dst >> volume;
+      ls >> UnsignedField{src} >> UnsignedField{dst} >> volume;
       FTSCHED_REQUIRE(!ls.fail(), "malformed edge line " +
                                       std::to_string(line_no) + ": " + line);
       g.add_edge(TaskId{src}, TaskId{dst}, volume);

@@ -37,13 +37,15 @@ UtilizationStats utilization(const ReplicatedSchedule& schedule) {
   UtilizationStats stats;
   if (makespan <= 0.0 || m == 0) return stats;
   stats.min = std::numeric_limits<double>::infinity();
+  std::vector<double> busy(m, 0.0);
+  for (TaskId t : schedule.graph().tasks()) {
+    for (const Replica& r : schedule.replicas(t)) {
+      busy[r.proc.index()] += r.finish - r.start;
+    }
+  }
   double total = 0.0;
   for (std::size_t p = 0; p < m; ++p) {
-    double busy = 0.0;
-    for (const PlacedReplica& r : schedule.timeline(ProcId{p})) {
-      busy += r.finish - r.start;
-    }
-    const double u = busy / makespan;
+    const double u = busy[p] / makespan;
     total += u;
     stats.min = std::min(stats.min, u);
     stats.max = std::max(stats.max, u);

@@ -175,14 +175,9 @@ class ScheduleSimulator::Impl {
     queue_ = std::move(wait_for.queue);
     const std::size_t v = g_.task_count();
     const std::size_t total = offset_[v];
+    task_of_ = std::move(wait_for.task);
     proc_of_.resize(total);
     duration_.resize(total);
-    task_of_.resize(total);
-    for (std::size_t t = 0; t < v; ++t) {
-      for (std::size_t flat = offset_[t]; flat < offset_[t + 1]; ++flat) {
-        task_of_[flat] = static_cast<std::uint32_t>(t);
-      }
-    }
 
     // In-edge slots live in one arena: replica `flat` owns the contiguous
     // range [in_offset_[flat], in_offset_[flat + 1]), one slot per in-edge

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "ftsched/util/jsonl.hpp"
+
 namespace ftsched {
 
 namespace {
@@ -127,16 +129,6 @@ const char* status_name(ReplicaStatus status) {
       return "not_started";
   }
   return "?";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace

@@ -210,7 +210,8 @@ struct Degenerate {
       schedule.place_task(t, std::move(reps));
     }
     for (std::size_t e = 0; e < s.graph().edge_count(); ++e) {
-      schedule.set_channels(e, s.channels(e));
+      const auto cs = s.channels(e);
+      schedule.set_channels(e, {cs.begin(), cs.end()});
     }
   }
 

@@ -75,6 +75,8 @@ TEST(Priorities, TopPlusBottomConstantOnChain) {
 TEST(Schedule, RequiresEnoughProcessors) {
   const Tiny w;
   EXPECT_THROW(ReplicatedSchedule(w.costs, 2, "x"), InvalidArgument);
+  // epsilon + 1 wraps to 0 here; it must not pass the check.
+  EXPECT_THROW(ReplicatedSchedule(w.costs, SIZE_MAX, "x"), InvalidArgument);
   EXPECT_NO_THROW(ReplicatedSchedule(w.costs, 1, "x"));
 }
 
@@ -86,7 +88,7 @@ TEST(Schedule, PlaceAndQuery) {
   EXPECT_TRUE(s.is_placed(TaskId{0u}));
   EXPECT_FALSE(s.is_placed(TaskId{1u}));
   EXPECT_EQ(s.replicas(TaskId{0u}).size(), 2u);
-  EXPECT_EQ(s.timeline(ProcId{0u}).size(), 1u);
+  EXPECT_EQ(s.replicas(TaskId{0u})[0].proc, ProcId{0u});
   EXPECT_THROW(
       s.place_task(TaskId{0u}, {Replica{ProcId{0u}, 0, 2, 0, 2},
                                 Replica{ProcId{1u}, 0, 4, 0, 4}}),
@@ -97,6 +99,16 @@ TEST(Schedule, PlaceRejectsTooFewReplicas) {
   const Tiny w;
   ReplicatedSchedule s(w.costs, 1, "manual");
   EXPECT_THROW(s.place_task(TaskId{0u}, {Replica{ProcId{0u}, 0, 2, 0, 2}}),
+               InvalidArgument);
+}
+
+TEST(Schedule, ReplicaIndicesFitSixteenBits) {
+  EXPECT_EQ(replica_index(65535), 65535u);
+  EXPECT_THROW((void)replica_index(65536), InvalidArgument);
+  EXPECT_THROW((void)Channel(0, 65536), InvalidArgument);
+  const Tiny w;
+  ReplicatedSchedule s(w.costs, 1, "manual");
+  EXPECT_THROW(s.place_task(TaskId{0u}, std::vector<Replica>(65537)),
                InvalidArgument);
 }
 
@@ -132,9 +144,20 @@ TEST(Schedule, Bounds) {
 
 TEST(Schedule, MessageCounts) {
   const Tiny w;
-  const auto s = manual_tiny_schedule(w);
+  auto s = manual_tiny_schedule(w);
   EXPECT_EQ(s.channel_count(), 4u);
   EXPECT_EQ(s.interproc_message_count(), 0u);  // all channels are local
+  // Re-setting an edge replaces its channels: the first set no longer
+  // counts, although it stays in the pool.
+  s.set_channels(0, {Channel{0, 0}, Channel{1, 0}, Channel{0, 1}});
+  EXPECT_EQ(s.channel_count(), 5u);
+  EXPECT_EQ(s.interproc_message_count(), 2u);
+  const auto cs = s.channels(0);
+  ASSERT_EQ(cs.size(), 3u);
+  EXPECT_EQ(cs[1].src_replica, 1u);
+  EXPECT_EQ(cs[1].dst_replica, 0u);
+  EXPECT_EQ(cs[2].src_replica, 0u);
+  EXPECT_EQ(cs[2].dst_replica, 1u);
 }
 
 TEST(Schedule, MappingMatrix) {

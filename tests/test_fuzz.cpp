@@ -1,11 +1,13 @@
 // Fuzz-style property tests: random mutations of valid schedules must be
 // caught by the validator; random graph serialization round trips; mutated
 // outside input (spec strings, shard files, protocol frames) is accepted or
-// rejected with an ftsched::Error naming it; the umbrella header compiles
-// and exposes the API.
+// rejected with an ftsched::Error naming it; signed or oversized integer
+// fields in graph and schedule text are rejected naming their line; the
+// umbrella header compiles and exposes the API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -45,7 +47,8 @@ bool mutation_rejected(const ReplicatedSchedule& original,
   for (TaskId t : g.tasks()) replicas[t.index()] = original.replicas(t);
   std::vector<std::vector<Channel>> channels(g.edge_count());
   for (std::size_t e = 0; e < g.edge_count(); ++e) {
-    channels[e] = original.channels(e);
+    const auto cs = original.channels(e);
+    channels[e].assign(cs.begin(), cs.end());
   }
 
   // Pick a random task with predecessors (most mutations need one).
@@ -448,6 +451,102 @@ TEST(InputFuzz, ProtocolFrames) {
                 }
               });
   EXPECT_GT(frames_seen, 0u);
+}
+
+/// `text` with field `field` of its first `kind` line that reads `from`
+/// replaced by `to`, and that line's 1-based number.
+std::pair<std::string, std::size_t> edit_field(const std::string& text,
+                                               const std::string& kind,
+                                               std::size_t field,
+                                               const std::string& from,
+                                               const std::string& to) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  std::size_t edited = 0;
+  std::string line;
+  for (std::size_t n = 1; std::getline(in, line); ++n) {
+    std::istringstream ls(line);
+    std::vector<std::string> tokens;
+    for (std::string token; ls >> token;) tokens.push_back(token);
+    if (edited == 0 && tokens.size() > field && tokens[0] == kind &&
+        tokens[field] == from) {
+      tokens[field] = to;
+      line.clear();
+      for (const std::string& token : tokens) line += token + ' ';
+      edited = n;
+    }
+    out << line << '\n';
+  }
+  return {out.str(), edited};
+}
+
+/// `parse(text)` throws InvalidArgument naming line `line`.
+void expect_line_rejected(const Parser& parse, const std::string& text,
+                          std::size_t line) {
+  ASSERT_GT(line, 0u) << "no line to edit";
+  const std::string tag = "line " + std::to_string(line);
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find(tag);
+    ASSERT_NE(at, std::string::npos) << what;
+    const std::size_t after = at + tag.size();
+    EXPECT_TRUE(after == what.size() ||
+                !std::isdigit(static_cast<unsigned char>(what[after])))
+        << what;
+  }
+}
+
+// `is >> x` into an unsigned field wraps a minus sign ("-4294967295" reads
+// as 1 in 32 bits), so each edit below would load as the unedited text.
+// The readers must reject signs and values beyond the field's type instead.
+TEST(TextReaders, RejectSignedAndOversizedIndices) {
+  const auto w = small_workload(31);
+  const std::string text =
+      schedule_to_string(ftsa_schedule(w->costs(), FtsaOptions{1, 31}));
+  const Parser parse_schedule = [&w](const std::string& edited) {
+    (void)schedule_from_string(edited, w->costs());
+  };
+  const std::string minus32 = "-4294967295";
+  const std::string minus64 = "-18446744073709551615";
+  struct Edit {
+    const char* kind;
+    std::size_t field;
+    const char* from;
+    std::string to;
+  };
+  for (const Edit& edit : std::vector<Edit>{
+           {"schedule", 2, "1", minus64},  // epsilon
+           {"replica", 1, "1", minus32},   // task
+           {"replica", 2, "1", minus32},   // processor
+           {"channel", 1, "1", minus64},   // edge
+           {"channel", 2, "1", minus64},   // source replica
+           {"channel", 3, "1", minus64},   // destination replica
+           {"channel", 2, "0", "70000"},   // beyond 16 bits
+           {"channel", 3, "0", "65536"}}) {
+    const auto [edited, line] =
+        edit_field(text, edit.kind, edit.field, edit.from, edit.to);
+    SCOPED_TRACE(std::string(edit.kind) + " field " +
+                 std::to_string(edit.field) + " = " + edit.to);
+    expect_line_rejected(parse_schedule, edited, line);
+  }
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  expect_line_rejected(parse_schedule, text + "repaired " + minus32 + "\n",
+                       lines + 1);
+
+  const std::string graph = "taskgraph g\ntask a\ntask b\nedge 0 1 2.5\n";
+  const Parser parse_graph = [](const std::string& edited) {
+    (void)graph_from_string(edited);
+  };
+  for (std::size_t field : {1u, 2u}) {
+    const std::string from = field == 1 ? "0" : "1";
+    const std::string to = field == 1 ? "-4294967296" : minus32;
+    const auto [edited, line] = edit_field(graph, "edge", field, from, to);
+    expect_line_rejected(parse_graph, edited, line);
+  }
 }
 
 }  // namespace
