@@ -2,9 +2,8 @@
 //
 // A coordinator builds a SweepPlan, splits it into N shards and ships one
 // shard spec ("i/N" plus the FigureConfig) to each worker; every worker
-// runs only its slice and streams single-sample statistics records to a
-// JSONL shard file; the coordinator merges the files back in coordinate
-// order.  This example plays all the roles in one process — each "worker"
+// runs only its slice and streams one line per coordinate to a shard
+// file; the coordinator merges the files back in coordinate order.  This example plays all the roles in one process — each "worker"
 // writes to its own buffer — and then *proves* the protocol's guarantee by
 // comparing the merged result against the unsharded run: they are
 // bit-identical, not merely close.
@@ -24,7 +23,7 @@ using namespace ftsched;
 
 int main(int argc, char** argv) {
   CliParser cli("sharded_sweep: plan/execute/merge pipeline demo — shard a "
-                "sweep, merge the JSONL shards, verify bit-identity");
+                "sweep, merge the shard files, verify bit-identity");
   cli.add_option("figure", "1", "paper figure whose config seeds the grid");
   cli.add_option("graphs", "6", "instances per (cell, granularity) point");
   cli.add_option("shards", "3", "worker count to split the grid across");
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
     run_plan(shard, sink);
     std::cout << "worker " << i << ": shard " << shard.shard_label() << ", "
               << sink.samples_written() << " instances -> "
-              << files[i].str().size() << " bytes of JSONL\n";
+              << files[i].str().size() << " bytes of shard file\n";
   }
 
   // Coordinator again: parse + merge the shard files.

@@ -18,8 +18,8 @@
 // The socket backend tolerates worker deaths by re-queueing their leases;
 // only a fully dead fleet surfaces a SweepBackendError carrying the last
 // worker's stderr and disconnect cause.  Multi-machine runs without a
-// coordinator use `sweep --shard i/N` + `merge`, the same JSONL shard
-// protocol the coordinator journals its manifests in.
+// coordinator use `sweep --shard i/N` + `merge`, the same shard format
+// the coordinator journals its manifests in.
 #pragma once
 
 #include <memory>

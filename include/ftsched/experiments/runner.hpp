@@ -296,8 +296,8 @@ struct SweepResult {
 /// (multi_failure) and a fourth "|policy" part only when the policy
 /// dimension is swept (multi_policy) — so grids without --failures /
 /// --policy keep their exact legacy names.  Shared by sweep_series_name
-/// and SweepPlan::series_label, so aggregated results and shard records
-/// can never disagree on series names.
+/// SweepPlan::series_label and merge_shards, so aggregated and merged
+/// results can never disagree on series names.
 [[nodiscard]] std::string decorate_series_name(const std::string& series,
                                                const std::string& workload,
                                                const std::string& scenario,

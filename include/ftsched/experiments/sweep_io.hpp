@@ -1,47 +1,61 @@
-// Stage 3 of the plan/execute/merge sweep pipeline: the shard job
-// protocol and the merge tool.
+// Stage 3 of the plan/execute/merge sweep pipeline: the shard format and
+// the merge tool.
 //
-// A *shard file* is JSONL (one JSON object per line, flat string values):
+// A *shard file* (format version 2) is one JSON header line followed by
+// plain-text lines, one per coordinate:
 //
-//   header   {"ftsched_sweep_shard":1,"seed":"42","epsilon":"1","m":"20",
-//             "reps":"60","extra":"1","granularities":"0x1.9...p-3;...",
-//             "workloads":"paper","scenarios":"t0","failures":"eps",
-//             "policies":"none","grid":"600","selected":"200","shard":"0/3"}
-//   records  {"id":"17","w":"0","s":"0","f":"0","pol":"0","g":"2","r":"5",
-//             "series":"FTSA-LowerBound","n":"1","mean":"0x1.8p+0",
-//             "m2":"0x0p+0","min":"0x1.8p+0","max":"0x1.8p+0"}
+//   {"ftsched_sweep_shard":2,"numerics":"9c1e...","seed":"42",
+//    "epsilon":"1","m":"20","reps":"60","extra":"1",
+//    "granularities":"0x1.9...p-3;...","workloads":"paper",
+//    "scenarios":"t0","failures":"eps","policies":"none","paper":"...",
+//    "grid":"600","selected":"200","shard":"0/3"}
+//   s 0 FTBAR-1Crash
+//   s 1 FTBAR-LowerBound
+//   17 0:1.8275cf8e8615fp+5 1:1.74faeef887e38p+8
+//   20 0:1.9p+5 1:1.7p+8
 //
-// Every record is a partial OnlineStats for one (instance, series) —
-// ShardWriterSink emits single-sample accumulators — with count/mean/M2/
-// min/max serialized losslessly as hex-floats, so nothing is rounded on
-// the way to disk.  merge_shards restores the canonical coordinate order
-// (records sorted by full-grid instance id) and combines the partials via
-// OnlineStats::merge(); because OnlineStats::add(x) is defined as
-// merge(of(x)), the merged SweepResult is bit-identical to the unsharded
-// run_sweep for ANY shard partition of the grid — the same doubles, down
-// to the last ulp, whatever machines the shards ran on (same
-// architecture/ABI assumed; the protocol itself is exact).
+// `s <sid> <name>` declares series id `sid` (dense, from 0, in order of
+// first use) for an undecorated series name; it precedes the first record
+// that uses it.  A record is the coordinate's full-grid id followed by one
+// `<sid>:<value>` pair per series, each value a std::to_chars hex-float
+// (no "0x"), so nothing is rounded on the way to disk.  The coordinate's
+// workload/scenario/failure/policy/granularity/rep follow from the id and
+// the header's dimensions; the cell suffix of the series label follows
+// from those, so neither is written.  Readers accept nothing else: an
+// undeclared or twice-declared sid, a sid repeated in one record, an id
+// outside the grid, a malformed hex-float or trailing bytes fail with the
+// file name and line.  Version-1 streams (one JSON record per series) are
+// rejected, naming the file.
 //
-// merge_shards fails loudly on shards from different plans (fingerprint
-// mismatch), overlapping shards (an instance appearing in two files) and
-// incomplete partitions (an instance missing from every file).
+// merge_shards restores the canonical coordinate order (ascending
+// full-grid id) and folds each value in as OnlineStats::of(value); because
+// OnlineStats::add(x) is defined as merge(of(x)), the merged SweepResult
+// is bit-identical to the unsharded run_sweep for ANY shard partition of
+// the grid.  Every header carries the writer's numerics fingerprint
+// (numerics_fingerprint()), so shards whose builds round differently are
+// refused instead of mixed.  merge_shards also fails loudly on shards from
+// different plans (fingerprint mismatch), overlapping shards (an instance
+// appearing twice) and incomplete partitions (an instance missing from
+// every file).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "ftsched/experiments/sweep_plan.hpp"
-#include "ftsched/util/jsonl.hpp"
-#include "ftsched/util/stats.hpp"
 
 namespace ftsched {
 
 /// Shard-file header: the plan identity (everything that determines the
-/// grid and its numbers, independent of sharding and thread count) plus
-/// this shard's bookkeeping.
+/// grid and its numbers, independent of sharding and thread count), the
+/// writer's numerics fingerprint, plus this shard's bookkeeping.
 struct ShardHeader {
   std::uint64_t seed = 0;
   std::size_t epsilon = 0;
@@ -51,21 +65,16 @@ struct ShardHeader {
   std::vector<double> granularities;
   std::vector<std::string> workloads;
   std::vector<std::string> scenarios;
-  /// Failure-model cell labels.  Shard files written before the failure
-  /// dimension existed omit the field; the reader restores the implicit
-  /// single {"eps"} cell, so old default-grid shards still merge.
-  std::vector<std::string> failures;
-  /// Rescheduling-policy cell labels.  Shard files written before the
-  /// policy dimension existed omit the field; the reader restores the
-  /// implicit single {"none"} cell (and records omit "pol" the same way),
-  /// so pre-policy shards still merge.
-  std::vector<std::string> policies;
+  std::vector<std::string> failures;  ///< failure-model cell labels
+  std::vector<std::string> policies;  ///< rescheduling-policy cell labels
   /// Full PaperWorkloadParams rendition when the grid uses the
   /// paper-configured cell (FigureConfig::workloads empty) — programmatic
   /// tweaks like task_min or exec spread change the numbers without
   /// showing in the cell label, so they must be part of the identity.
   /// Empty when every cell comes from a registry spec.
   std::string paper_params;
+  /// numerics_fingerprint() of the process that wrote the shard.
+  std::string numerics;
   std::uint64_t grid = 0;      ///< full-grid instance count
   std::uint64_t selected = 0;  ///< instances this shard covers
   std::string shard = "full";  ///< shard chain label, e.g. "0/3"
@@ -75,28 +84,76 @@ struct ShardHeader {
   [[nodiscard]] std::string fingerprint() const;
 };
 
-/// One partial-statistics record: the accumulator state of `series` over
-/// the instance `id` (single-sample as written by ShardWriterSink).
-struct ShardRecord {
-  InstanceCoord coord;
-  std::string series;  ///< decorated series name (cell suffix included)
-  OnlineStats stats;
+/// One coordinate's values as (series id, value) pairs; the ids index the
+/// stream's series declarations.
+using ShardValues = std::vector<std::pair<std::uint32_t, double>>;
+
+/// One record line: a coordinate's full-grid id and its values.
+struct ShardSample {
+  std::uint64_t id = 0;
+  ShardValues values;
 };
 
 /// A parsed shard file.
 struct ShardFile {
+  std::string name;                  ///< what read_shard was given
   ShardHeader header;
-  std::vector<ShardRecord> records;
+  std::vector<std::string> series;   ///< undecorated names, by series id
+  std::vector<ShardSample> samples;  ///< file order
 };
 
-/// Streaming sink that serializes every sample to `os` as JSONL: the
-/// header on construction, then one record per (instance, series).
+/// Digest (16 hex digits) of the bits this build computes on two fixed
+/// small instances: the FTSA, MC-FTSA and FTBAR schedule bounds, a
+/// timed-crash run_summary forward pass of each FTSA schedule, and one
+/// draw per crash-time law (which covers Rng::exponential's std::log, the
+/// one libm call on the sample path).  Builds that contract a·b+c into
+/// FMAs, or link another libm, digest differently.  Computed on first use,
+/// once per process.
+[[nodiscard]] const std::string& numerics_fingerprint();
+
+// The record lines are also the coordinator service's sample frames and
+// manifest units (service/protocol.hpp), so the series dictionary's two
+// halves are shared helpers rather than ShardWriterSink/read_shard
+// internals.
+
+/// Writer half of one stream's series dictionary.
+class ShardLineWriter {
+ public:
+  /// Appends to `out` a declaration line for every series of `sample` the
+  /// stream has not declared yet, then the record line of coordinate `id`
+  /// (values in `sample`'s key order).
+  void append(std::string& out, std::uint64_t id, const SeriesSample& sample);
+
+ private:
+  std::unordered_map<std::string, std::uint32_t> ids_;
+};
+
+/// Reader half of one stream's series dictionary.
+class ShardLineReader {
+ public:
+  /// Parses one line after the header (no newline, no trailing '\r').  A
+  /// declaration extends series() and returns false; a record fills `id`
+  /// and `values` and returns true.  Throws InvalidArgument, without a
+  /// location (callers prefix their own), on anything else.
+  bool parse(std::string_view line, std::uint64_t& id, ShardValues& values);
+
+  [[nodiscard]] const std::vector<std::string>& series() const noexcept {
+    return series_;
+  }
+
+ private:
+  std::vector<std::string> series_;
+  std::unordered_set<std::string> names_;  ///< series_, for duplicates
+  std::vector<std::uint64_t> seen_;  ///< per sid: last record that used it
+  std::uint64_t records_ = 0;
+};
+
+/// Streaming sink that serializes every sample to `os`: the header on
+/// construction, then declarations and one record line per instance.
 class ShardWriterSink final : public SweepSink {
  public:
-  /// `os` and `plan` must outlive the sink; the header is written here.
+  /// `os` must outlive the sink; the header for `plan` is written here.
   ShardWriterSink(std::ostream& os, const SweepPlan& plan);
-  /// The sink keeps a pointer to the plan: a temporary would dangle.
-  ShardWriterSink(std::ostream& os, const SweepPlan&& plan) = delete;
 
   void on_sample(const InstanceCoord& coord,
                  const SeriesSample& sample) override;
@@ -107,8 +164,8 @@ class ShardWriterSink final : public SweepSink {
 
  private:
   std::ostream* os_;
-  const SweepPlan* plan_;
   std::size_t samples_ = 0;
+  ShardLineWriter lines_;
   std::string buffer_;  ///< per-sample render scratch, capacity reused
 };
 
@@ -116,43 +173,12 @@ class ShardWriterSink final : public SweepSink {
 /// CLI's plan command and for tests).
 [[nodiscard]] ShardHeader shard_header(const SweepPlan& plan);
 
-// The shard-record vocabulary is also the coordinator service's wire and
-// manifest format (service/protocol.hpp), so the line renderers/parsers
-// are shared helpers rather than ShardWriterSink/read_shard internals —
-// one renderer per line shape keeps the formats bit-identical by
-// construction.
-
 /// The newline-terminated header line ShardWriterSink writes for `plan`.
 [[nodiscard]] std::string render_shard_header(const SweepPlan& plan);
 
-/// Appends one newline-terminated record line per series of `sample` to
-/// `out`, decorated via plan.series_label — exactly what ShardWriterSink
-/// writes for the same sample.
-void append_sample_records(std::string& out, const SweepPlan& plan,
-                           const InstanceCoord& coord,
-                           const SeriesSample& sample);
-
-/// Converts one parsed non-header line of the shard protocol into a
-/// ShardRecord; `where` labels diagnostics.  Throws InvalidArgument on
-/// missing fields or unparsable numbers.
-[[nodiscard]] ShardRecord shard_record_from(const FlatJsonObject& object,
-                                            const std::string& where);
-
-/// parse + shard_record_from for one line (callers with many lines keep a
-/// FlatJsonObject scratch and use shard_record_from directly).
-[[nodiscard]] ShardRecord parse_shard_record(const std::string& line,
-                                             const std::string& where);
-
-/// Strips the cell suffix of `coord` (series_label's decoration, a pure
-/// suffix) from `series` in place.  Returns false — leaving `series`
-/// untouched — when the suffix is absent, i.e. the record cannot be a
-/// well-formed sample of `coord` under `plan`.
-[[nodiscard]] bool undecorate_series(const SweepPlan& plan,
-                                     const InstanceCoord& coord,
-                                     std::string& series);
-
-/// Parses one shard stream; `name` labels diagnostics.  Throws
-/// InvalidArgument on malformed lines or a missing/alien header.
+/// Parses one shard stream; `name` labels diagnostics ("name:line: ...").
+/// Throws InvalidArgument on malformed lines or a missing, alien or
+/// version-1 header.
 [[nodiscard]] ShardFile read_shard(std::istream& in,
                                    const std::string& name = "<stream>");
 
@@ -161,12 +187,8 @@ void append_sample_records(std::string& out, const SweepPlan& plan,
 
 /// Combines shard files covering a full partition of one plan's grid into
 /// the SweepResult of the unsharded run — bit-identical (see file
-/// comment).  Throws InvalidArgument on fingerprint mismatch, overlap,
-/// incomplete coverage, or out-of-range records.
+/// comment).  Throws InvalidArgument, naming the file, on a fingerprint or
+/// numerics mismatch, overlap, incomplete coverage, or out-of-range ids.
 [[nodiscard]] SweepResult merge_shards(const std::vector<ShardFile>& shards);
-
-/// read_shard_file + merge_shards over a list of paths.
-[[nodiscard]] SweepResult merge_shard_files(
-    const std::vector<std::string>& paths);
 
 }  // namespace ftsched

@@ -14,7 +14,7 @@
 //     SweepResult the monolithic run_sweep used to build (run_sweep is now
 //     a thin wrapper over this pair);
 //   * ShardWriterSink (experiments/sweep_io.hpp) serializes the samples
-//     losslessly to a JSONL shard file, and merge_shards combines shard
+//     losslessly to a shard file, and merge_shards combines shard
 //     files back into a SweepResult that is bit-identical to the unsharded
 //     run for any shard partition of the grid.
 //

@@ -186,12 +186,6 @@ class FailureModel {
 
   [[nodiscard]] CountKind count_kind() const noexcept { return count_; }
   [[nodiscard]] VictimKind victim_kind() const noexcept { return victims_; }
-  /// Victims per fixed draw / fault-domain width (meaningful per kind).
-  [[nodiscard]] std::size_t fixed_count() const noexcept { return fixed_k_; }
-  [[nodiscard]] std::size_t domain_size() const noexcept {
-    return domain_size_;
-  }
-  [[nodiscard]] double probability() const noexcept { return prob_; }
 
   /// True for the paper default (ε uniform victims): evaluate_instance
   /// keeps its legacy RNG stream and series layout exactly.
@@ -217,14 +211,14 @@ class FailureModel {
   [[nodiscard]] bool is_burst() const noexcept {
     return count_ == CountKind::kBernoulli && burst_width_ > 0;
   }
-  [[nodiscard]] double burst_width() const noexcept { return burst_width_; }
 
   /// Draws one unit repair delay per victim (Exponential, mean mttr()).
   /// Requires has_repair().
   [[nodiscard]] std::vector<double> sample_repair_delays(
       Rng& rng, std::size_t count) const;
 
-  /// Draws one unit in-burst offset per victim, ~ U[0, burst_width()).
+  /// Draws one unit in-burst offset per victim, ~ U[0, width) of the
+  /// `burst:` spec.
   /// Requires is_burst().
   [[nodiscard]] std::vector<double> sample_burst_offsets(
       Rng& rng, std::size_t count) const;

@@ -13,8 +13,9 @@
 //   * duplicate results (the victim of a steal finishing anyway, or an
 //     expired worker resurfacing) are resolved first-arrival — safe, since
 //     every correct worker produces bit-identical samples;
-//   * a worker whose rebuilt plan fingerprint differs is rejected before
-//     it can lease anything, so a drifted binary never contributes.
+//   * a worker whose rebuilt plan fingerprint or numerics fingerprint
+//     differs is rejected before it can lease anything, so neither a
+//     drifted binary nor a build that rounds differently contributes.
 //
 // Leases are group-aligned: a lease is a run of whole schedule-reuse
 // groups (SweepPlan::group_selection), so a worker runs each (workload,
@@ -22,8 +23,8 @@
 //
 // Resumability: with a manifest directory configured, the coordinator
 // journals each completed fixed group-aligned chunk of the selection (the
-// chunks a fresh run leases) as an ordinary
-// shard-protocol JSONL file under a (fingerprint, shard)-keyed
+// chunks a fresh run leases) as an ordinary shard file
+// (experiments/sweep_io.hpp) under a (fingerprint, shard)-keyed
 // subdirectory, written atomically (tmp + rename).  A restarted
 // coordinator loads the manifest, delivers the resumed prefix, and leases
 // only the missing coordinates — a killed sweep loses at most the

@@ -3,26 +3,30 @@
 //
 // Every frame (util/net.hpp framing) carries newline-separated lines; the
 // first line is one flat JSON object (util/jsonl.hpp) whose "type" field
-// names the message, and only "sample" frames have further lines — raw
-// shard-protocol record lines, the exact vocabulary ShardWriterSink writes
-// (experiments/sweep_io.hpp).  Reusing the shard line shapes verbatim is
-// what makes the coordinator's manifest units ordinary shard files and the
-// bit-identity argument a composition of already-tested pieces.
+// names the message, and only "sample" frames have further lines: shard
+// format version 2 lines (experiments/sweep_io.hpp), i.e. a `s <sid>
+// <name>` declaration for each series the connection has not used before,
+// then the coordinate's one record line `<id> <sid>:<hex-float> ...`.
+// Each connection is one shard stream with its own series dictionary, and
+// the coordinator's manifest units are ordinary shard files, so the
+// bit-identity argument is a composition of already-tested pieces.
 //
 //   worker → coordinator      coordinator → worker
 //   ------------------        --------------------
 //   hello   {worker}          plan    {args, shard, fingerprint}
-//   ready   {fingerprint}     lease   {lease, ks}
-//   lease_request {}          reject  {cause}        (terminal)
-//   sample  {lease, k} + recs bye     {}             (all work done)
+//   ready   {fingerprint,     lease   {lease, ks}
+//            numerics}        reject  {cause}        (terminal)
+//   lease_request {}          bye     {}             (all work done)
+//   sample  {lease, k} + lines
 //   done    {lease}
 //   heartbeat {}
 //
 // A worker joins with `hello`, receives the `plan` (the sweep grid as CLI
 // flags plus the plan's shard chain and fingerprint), rebuilds the plan
-// locally and answers `ready` with the fingerprint *it* computed — the
-// coordinator rejects a mismatch before leasing anything, so a drifted
-// binary can never contribute samples.  Work then flows as
+// locally and answers `ready` with the fingerprint *it* computed and its
+// numerics_fingerprint() — the coordinator rejects a mismatch of either
+// before leasing anything, so neither a drifted binary nor a build that
+// rounds differently can contribute samples.  Work then flows as
 // `lease_request` → `lease` (a set of selected-instance indices) →
 // `sample` per coordinate → `done`, until the coordinator answers a
 // request with `bye` (or `reject` on protocol violations).
@@ -31,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ftsched/util/jsonl.hpp"
@@ -39,14 +44,14 @@ namespace ftsched {
 
 /// Bumped when a frame shape changes incompatibly; `hello` carries it so
 /// version skew is a clean reject, not a parse error.
-inline constexpr const char* kCoordProtocolVersion = "1";
+inline constexpr const char* kCoordProtocolVersion = "2";
 
-/// One parsed frame: the typed head line plus any record lines.
+/// One parsed frame: the typed head line plus the lines after it.
 struct ServiceMessage {
   std::string type;
-  FlatJsonObject head;                    ///< parsed first line
-  std::vector<std::string> record_lines;  ///< raw shard-record lines
-  std::string where;                      ///< diagnostics label ("peer 3")
+  FlatJsonObject head;  ///< parsed first line
+  std::string body;     ///< everything after the head line (see next_line)
+  std::string where;    ///< diagnostics label ("peer 3")
 
   [[nodiscard]] const std::string& field(const char* key) const {
     return head.field(key, where);
@@ -62,13 +67,18 @@ struct ServiceMessage {
 [[nodiscard]] ServiceMessage parse_service_message(const std::string& payload,
                                                    const std::string& from);
 
+/// Pops the next non-empty line (trailing '\r' dropped) off the front of
+/// `body` into `line`; false once `body` holds no further line.
+bool next_line(std::string_view& body, std::string_view& line);
+
 // Frame builders (single-line messages return the full payload; the
-// "sample" head expects the caller to append record lines).
+// "sample" head expects the caller to append the shard lines).
 [[nodiscard]] std::string msg_hello(const std::string& worker);
 [[nodiscard]] std::string msg_plan(const std::vector<std::string>& sweep_args,
                                    const std::string& shard,
                                    const std::string& fingerprint);
-[[nodiscard]] std::string msg_ready(const std::string& fingerprint);
+[[nodiscard]] std::string msg_ready(const std::string& fingerprint,
+                                    const std::string& numerics);
 [[nodiscard]] std::string msg_lease_request();
 [[nodiscard]] std::string msg_lease(std::uint64_t lease,
                                     const std::vector<std::size_t>& ks);

@@ -27,7 +27,12 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// The whole value as a signed integer ("8x" and "" are errors).
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// The whole value as an unsigned integer of at most `max` — for counts
+  /// and ports; a sign or a larger value is an error naming the option.
+  [[nodiscard]] std::uint64_t get_count(
+      const std::string& name, std::uint64_t max = UINT64_MAX) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 

@@ -1,14 +1,12 @@
-// Flat JSONL objects: the wire vocabulary shared by the sweep shard
-// protocol (experiments/sweep_io.hpp) and the coordinator service
-// (service/protocol.hpp).
+// Flat JSON objects: the head lines shared by the sweep shard format
+// (experiments/sweep_io.hpp: the header) and the coordinator service
+// (service/protocol.hpp: every frame's first line).
 //
-// Every line the system ever puts on a wire or in a shard file is one flat
-// JSON object whose values are strings (or a bare token like a protocol
-// version number), so a full JSON parser is not needed: `FlatJsonObject`
-// is a strict scanner for exactly that shape, and `json_escape` is the
-// matching writer-side escaper.  The parser is a reusable scratch object —
-// parse() recycles its key/value strings, so a million-line stream settles
-// into zero allocations per line once capacities plateau.
+// Each such line is one flat JSON object whose values are strings (or a
+// bare token like a protocol version number), so a full JSON parser is not
+// needed: `FlatJsonObject` is a strict scanner for exactly that shape, and
+// `json_escape` is the matching writer-side escaper.  The parser is a
+// reusable scratch object — parse() recycles its key/value strings.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +37,7 @@ class FlatJsonObject {
   [[nodiscard]] const std::string& field(const char* key,
                                          const std::string& where) const;
 
-  /// Like field(), but absent keys fall back — for fields added to a
-  /// protocol after version 1 shipped (old streams must stay readable).
+  /// Like field(), but an absent key yields `fallback` (optional fields).
   [[nodiscard]] std::string field_or(const char* key,
                                      const char* fallback) const;
 

@@ -11,8 +11,7 @@ namespace ftsched {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global threshold; messages below it are dropped. Default: kWarn.
-void set_log_level(LogLevel level) noexcept;
+/// The threshold, kWarn: messages below it are dropped.
 [[nodiscard]] LogLevel log_level() noexcept;
 
 namespace detail {

@@ -2,15 +2,15 @@
 // sweep coordinator service (service/coordinator.hpp) and its workers.
 //
 // A *message* is an opaque byte payload framed by a 4-byte big-endian
-// length prefix; the service puts one JSONL fragment (one or more flat
-// JSON-object lines) in each frame.  The layer is deliberately tiny:
-// loopback/LAN TCP, blocking workers, a poll()-driven coordinator — no
-// TLS, no name resolution beyond numeric hosts, no portability shims
-// beyond POSIX.  Every syscall is retried on EINTR and writes use
-// MSG_NOSIGNAL, so a dying peer surfaces as an Error (or clean EOF), never
-// as SIGPIPE or a spurious failure under signals — the coordinator reaps
-// child workers with signals in flight, so this hardening is load-bearing,
-// not cosmetic.
+// length prefix; the service puts one flat JSON-object line in each
+// frame, followed in `sample` frames by shard-format lines.  The layer is
+// deliberately tiny: loopback/LAN TCP, blocking workers, a poll()-driven
+// coordinator — no TLS, no name resolution beyond numeric hosts, no
+// portability shims beyond POSIX.  Every syscall is retried on EINTR and
+// writes use MSG_NOSIGNAL, so a dying peer surfaces as an Error (or clean
+// EOF), never as SIGPIPE or a spurious failure under signals — the
+// coordinator reaps child workers with signals in flight, so this
+// hardening is load-bearing, not cosmetic.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,7 @@
 namespace ftsched {
 
 /// Frames larger than this are protocol corruption, not data (the largest
-/// legitimate frame is one coordinate's record lines).
+/// legitimate frame is one coordinate's record line and declarations).
 inline constexpr std::uint32_t kMaxNetFrameBytes = 1u << 26;  // 64 MiB
 
 /// One connected stream socket.  Move-only; the destructor closes.

@@ -24,7 +24,6 @@ class TextTable {
   void add_numeric_row(const std::string& label,
                        const std::vector<double>& values, int precision = 3);
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
   [[nodiscard]] std::string str() const;
   void print(std::ostream& os) const;
 

@@ -387,14 +387,14 @@ void add_sweep_grid_options(CliParser& cli) {
 
 FigureConfig sweep_config_from_cli(const CliParser& cli) {
   FigureConfig config = figure_config(static_cast<int>(cli.get_int("figure")));
-  config.graphs_per_point = static_cast<std::size_t>(cli.get_int("graphs"));
+  config.graphs_per_point = cli.get_count("graphs");
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  if (cli.get_int("epsilon") != 0) {
-    config.epsilon = static_cast<std::size_t>(cli.get_int("epsilon"));
+  config.threads = cli.get_count("threads");
+  if (cli.get_count("epsilon") != 0) {
+    config.epsilon = cli.get_count("epsilon");
   }
-  if (cli.get_int("procs") != 0) {
-    config.proc_count = static_cast<std::size_t>(cli.get_int("procs"));
+  if (cli.get_count("procs") != 0) {
+    config.proc_count = cli.get_count("procs");
     config.workload.proc_count = config.proc_count;
   }
   // Lowering epsilon below a figure's extra crash counts would trip the

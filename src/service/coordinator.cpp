@@ -76,6 +76,10 @@ struct Coordinator::Impl {
     enum class State { AwaitHello, PlanSent, Ready, Waiting, Rejected };
     State state = State::AwaitHello;
     std::string reject_cause;  ///< why the state became Rejected
+    /// The connection's shard stream: its series dictionary, and each of
+    /// its series ids mapped to the coordinator's interned id.
+    ShardLineReader lines;
+    std::vector<std::uint32_t> interned;
   };
 
   struct Lease {
@@ -137,7 +141,7 @@ struct Coordinator::Impl {
 
   // Per-poll scratch (capacity reused across frames).
   std::string payload_scratch;
-  FlatJsonObject record_scratch;
+  ShardValues values_scratch;
 
   Impl(const SweepPlan& p, SweepSink& s, CoordinatorOptions o)
       : plan(p), sink(s), opts(std::move(o)), listener(opts.port) {
@@ -235,29 +239,33 @@ struct Coordinator::Impl {
                    << path << ": plan mismatch");
       return;
     }
-    std::map<std::uint64_t, SeriesSample> per_id;
-    for (const ShardRecord& r : file.records) {
-      const auto it = std::lower_bound(ids.begin(), ids.end(), r.coord.id);
-      if (it == ids.end() || *it != r.coord.id || r.stats.count() != 1) {
-        FTSCHED_WARN("coordinator: skipping manifest file " << path
-                                                            << ": bad record");
-        return;
-      }
-      const std::size_t k = static_cast<std::size_t>(it - ids.begin());
-      std::string series = r.series;
-      if (!undecorate_series(plan, plan.coord(k), series) ||
-          !per_id[r.coord.id].emplace(std::move(series), r.stats.mean())
-               .second) {
-        FTSCHED_WARN("coordinator: skipping manifest file " << path
-                                                            << ": bad record");
-        return;
-      }
+    if (file.header.numerics != numerics_fingerprint()) {
+      FTSCHED_WARN("coordinator: skipping manifest file "
+                   << path << ": written by a build with numerics fingerprint "
+                   << file.header.numerics << ", this one has "
+                   << numerics_fingerprint());
+      return;
     }
-    for (auto& [id, sample] : per_id) {
-      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-      const std::size_t k = static_cast<std::size_t>(it - ids.begin());
-      if (complete[k]) continue;  // first file wins; values are identical
-      mark_complete(k, sample);
+    std::vector<std::size_t> ks;
+    ks.reserve(file.samples.size());
+    for (const ShardSample& sample : file.samples) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), sample.id);
+      if (it == ids.end() || *it != sample.id) {
+        FTSCHED_WARN("coordinator: skipping manifest file "
+                     << path << ": instance " << sample.id
+                     << " is not in this plan's selection");
+        return;
+      }
+      ks.push_back(static_cast<std::size_t>(it - ids.begin()));
+    }
+    std::vector<std::uint32_t> interned;
+    interned.reserve(file.series.size());
+    for (const std::string& series : file.series) {
+      interned.push_back(intern(series));
+    }
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      if (complete[ks[i]]) continue;  // first file wins; values are identical
+      mark_complete(ks[i], pack(file.samples[i].values, interned));
       ++counters.coords_resumed;
     }
   }
@@ -266,9 +274,10 @@ struct Coordinator::Impl {
     const std::size_t begin = unit_start[u];
     const std::size_t end = unit_start[u + 1];
     std::string text = render_shard_header(plan);
+    ShardLineWriter lines;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t k = order[i];
-      append_sample_records(text, plan, plan.coord(k), unpack(samples[k]));
+      lines.append(text, ids[k], unpack(samples[k]));
     }
     // The name is the unit's span of the group order ("g").  Loading
     // ignores names, so any partition resumes any other.
@@ -282,14 +291,21 @@ struct Coordinator::Impl {
 
   // ------------------------------------------------------- sample storage
 
-  [[nodiscard]] PackedSample pack(const SeriesSample& sample) {
+  /// The coordinator-wide id of an undecorated series name.
+  [[nodiscard]] std::uint32_t intern(const std::string& series) {
+    const auto [it, fresh] = series_ids.try_emplace(
+        series, static_cast<std::uint32_t>(series_names.size()));
+    if (fresh) series_names.push_back(series);
+    return it->second;
+  }
+
+  /// `values` of one shard stream, its series ids translated by `interned`.
+  [[nodiscard]] static PackedSample pack(
+      const ShardValues& values, const std::vector<std::uint32_t>& interned) {
     PackedSample packed;
-    packed.reserve(sample.size());
-    for (const auto& [series, value] : sample) {
-      const auto [it, fresh] = series_ids.try_emplace(
-          series, static_cast<std::uint32_t>(series_names.size()));
-      if (fresh) series_names.push_back(series);
-      packed.emplace_back(it->second, value);
+    packed.reserve(values.size());
+    for (const auto& [sid, value] : values) {
+      packed.emplace_back(interned[sid], value);
     }
     return packed;
   }
@@ -302,9 +318,9 @@ struct Coordinator::Impl {
     return sample;
   }
 
-  void mark_complete(std::size_t k, const SeriesSample& sample) {
+  void mark_complete(std::size_t k, PackedSample sample) {
     complete[k] = 1;
-    samples[k] = pack(sample);
+    samples[k] = std::move(sample);
     ++completed_count;
     const std::size_t u = unit_of[k];
     if (--unit_left[u] == 0 && !manifest.empty() && !unit_written[u]) {
@@ -385,6 +401,13 @@ struct Coordinator::Impl {
                       fingerprint + "\n  got:  " + msg.field("fingerprint"));
         return;
       }
+      if (msg.field("numerics") != numerics_fingerprint()) {
+        reject(c, "numerics fingerprint mismatch — worker " + describe(c) +
+                      " computes different bits (numerics " +
+                      msg.field("numerics") + ", coordinator " +
+                      numerics_fingerprint() + ")");
+        return;
+      }
       c.state = Connection::State::Ready;
       return;
     }
@@ -426,18 +449,30 @@ struct Coordinator::Impl {
       return;
     }
     const std::size_t k = static_cast<std::size_t>(k64);
-    const InstanceCoord coord = plan.coord(k);
-    SeriesSample sample;
-    for (const std::string& line : msg.record_lines) {
-      record_scratch.parse(line, msg.where);
-      ShardRecord r = shard_record_from(record_scratch, msg.where);
-      if (r.coord.id != coord.id || r.stats.count() != 1 ||
-          !undecorate_series(plan, coord, r.series) ||
-          !sample.emplace(std::move(r.series), r.stats.mean()).second) {
-        reject(c, "malformed sample record for selected index " +
-                      std::to_string(k));
-        return;
+    // Declarations are read even when the sample turns out a duplicate:
+    // later frames of this connection use them.
+    std::size_t records = 0;
+    std::uint64_t id = 0;
+    std::string_view body = msg.body;
+    std::string_view line;
+    try {
+      while (next_line(body, line)) {
+        if (c.lines.parse(line, id, values_scratch)) {
+          ++records;
+          continue;
+        }
+        c.interned.push_back(intern(c.lines.series().back()));
       }
+    } catch (const InvalidArgument& e) {
+      reject(c, "malformed sample frame for selected index " +
+                    std::to_string(k) + ": " + e.what());
+      return;
+    }
+    if (records != 1 || id != ids[k]) {
+      reject(c, "sample frame for selected index " + std::to_string(k) +
+                    " must carry one record of instance " +
+                    std::to_string(ids[k]));
+      return;
     }
     const auto it = leases.find(lease_id);
     if (it != leases.end() && it->second.conn == c.id) {
@@ -450,7 +485,7 @@ struct Coordinator::Impl {
       ++counters.duplicate_samples;
       return;
     }
-    mark_complete(k, sample);
+    mark_complete(k, pack(values_scratch, c.interned));
   }
 
   void touch_leases_of(std::uint64_t conn_id) {

@@ -17,21 +17,23 @@ ServiceMessage parse_service_message(const std::string& payload,
                                      const std::string& from) {
   ServiceMessage msg;
   msg.where = from;
-  std::size_t eol = payload.find('\n');
-  const std::string head_line =
-      eol == std::string::npos ? payload : payload.substr(0, eol);
-  msg.head.parse(head_line, from);
+  const std::size_t eol = payload.find('\n');
+  msg.head.parse(eol == std::string::npos ? payload : payload.substr(0, eol),
+                 from);
   msg.type = msg.head.field("type", from);
-  while (eol != std::string::npos) {
-    const std::size_t begin = eol + 1;
-    eol = payload.find('\n', begin);
-    std::string line = eol == std::string::npos
-                           ? payload.substr(begin)
-                           : payload.substr(begin, eol - begin);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!line.empty()) msg.record_lines.push_back(std::move(line));
-  }
+  if (eol != std::string::npos) msg.body.assign(payload, eol + 1);
   return msg;
+}
+
+bool next_line(std::string_view& body, std::string_view& line) {
+  while (!body.empty()) {
+    const std::size_t eol = body.find('\n');
+    line = body.substr(0, eol);
+    body.remove_prefix(eol == std::string_view::npos ? body.size() : eol + 1);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) return true;
+  }
+  return false;
 }
 
 std::string msg_hello(const std::string& worker) {
@@ -48,8 +50,10 @@ std::string msg_plan(const std::vector<std::string>& sweep_args,
   return out;
 }
 
-std::string msg_ready(const std::string& fingerprint) {
-  return "{\"type\":\"ready\"," + quoted("fingerprint", fingerprint) + "}";
+std::string msg_ready(const std::string& fingerprint,
+                      const std::string& numerics) {
+  return "{\"type\":\"ready\"," + quoted("fingerprint", fingerprint) + "," +
+         quoted("numerics", numerics) + "}";
 }
 
 std::string msg_lease_request() { return "{\"type\":\"lease_request\"}"; }

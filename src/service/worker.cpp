@@ -52,13 +52,14 @@ WorkerReport run_worker(const WorkerOptions& options) {
                   where + ": expected plan, got '" + msg.type + "'");
 
   // Rebuild the plan exactly like the sweep command would from these
-  // flags; the ready answer carries *our* fingerprint so a drifted binary
-  // is rejected before it can lease anything.
+  // flags; the ready answer carries *our* grid and numerics fingerprints so
+  // a drifted binary or a build that rounds differently is rejected before
+  // it can lease anything.
   const FigureConfig config =
       sweep_config_from_args(split_plan_args(msg.field("args")));
   const SweepPlan plan =
       apply_shard_chain(SweepPlan(config), msg.field("shard"));
-  sock.send_message(msg_ready(plan.fingerprint()));
+  sock.send_message(msg_ready(plan.fingerprint(), numerics_fingerprint()));
 
   // Selected index -> schedule-reuse group, so a lease's coordinates can
   // be bucketed into evaluate_group calls (any ascending subset of one
@@ -93,12 +94,16 @@ WorkerReport run_worker(const WorkerOptions& options) {
     }
   };
 
+  // The connection is one shard stream: each series is declared in the
+  // first sample frame that uses it.
+  ShardLineWriter lines;
+  std::string frame;
   const auto send_sample = [&](std::uint64_t lease, std::size_t k,
                                const SeriesSample& sample) {
     throttle();
-    std::string frame = msg_sample_head(lease, k);
+    frame = msg_sample_head(lease, k);
     frame += '\n';
-    append_sample_records(frame, plan, plan.coord(k), sample);
+    lines.append(frame, plan.coord(k).id, sample);
     sock.send_message(frame);
     ++report.samples_sent;
   };

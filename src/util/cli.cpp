@@ -1,5 +1,6 @@
 #include "ftsched/util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -62,11 +63,30 @@ std::string CliParser::get(const std::string& name) const {
 
 std::int64_t CliParser::get_int(const std::string& name) const {
   const std::string v = get(name);
-  try {
-    return std::stoll(v);
-  } catch (const std::exception&) {
+  std::int64_t out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || end != v.data() + v.size()) {
     throw InvalidArgument("option --" + name + " is not an integer: " + v);
   }
+  return out;
+}
+
+std::uint64_t CliParser::get_count(const std::string& name,
+                                   std::uint64_t max) const {
+  const std::string v = get(name);
+  std::uint64_t out = 0;
+  // Unsigned from_chars takes no sign, so "-3" fails here rather than
+  // wrapping to 2^64 - 3.
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec == std::errc::invalid_argument || end != v.data() + v.size()) {
+    throw InvalidArgument("option --" + name +
+                          " expects a non-negative integer, got '" + v + "'");
+  }
+  if (ec == std::errc::result_out_of_range || out > max) {
+    throw InvalidArgument("option --" + name + " is out of range: " + v +
+                          " (at most " + std::to_string(max) + ")");
+  }
+  return out;
 }
 
 double CliParser::get_double(const std::string& name) const {

@@ -1,13 +1,10 @@
 #include "ftsched/util/log.hpp"
 
-#include <atomic>
 #include <iostream>
 
 namespace ftsched {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 const char* level_name(LogLevel level) noexcept {
   switch (level) {
     case LogLevel::kDebug:
@@ -25,8 +22,7 @@ const char* level_name(LogLevel level) noexcept {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-LogLevel log_level() noexcept { return g_level.load(); }
+LogLevel log_level() noexcept { return LogLevel::kWarn; }
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& message) {

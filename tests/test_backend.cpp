@@ -194,11 +194,11 @@ TEST_F(BackendTest, ReadShardAcceptsCrlfLineEndings) {
   const ShardFile a = read_shard(unix_in, "unix");
   const ShardFile b = read_shard(dos_in, "dos");
   EXPECT_EQ(a.header.fingerprint(), b.header.fingerprint());
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].series, b.records[i].series);
-    EXPECT_EQ(a.records[i].coord.id, b.records[i].coord.id);
-    EXPECT_EQ(a.records[i].stats.mean(), b.records[i].stats.mean());
+  EXPECT_EQ(a.series, b.series);
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].id, b.samples[i].id);
+    EXPECT_EQ(a.samples[i].values, b.samples[i].values);
   }
 }
 

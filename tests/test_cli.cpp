@@ -509,12 +509,49 @@ TEST_F(CliTest, PlanShowsTheFailureDimension) {
   EXPECT_NE(r.out.find("bernoulli:p=0.2"), std::string::npos);
 }
 
-TEST_F(CliTest, ShardedSweepWritesJsonlToStdout) {
+TEST_F(CliTest, ShardedSweepWritesTheShardToStdout) {
   const CliResult r = run(with_grid({"sweep"}, {"--shard", "0/4"}));
   ASSERT_EQ(r.code, 0) << r.err;
-  // Pure JSONL: first line is the protocol header, no banner.
-  EXPECT_EQ(r.out.rfind("{\"ftsched_sweep_shard\":1", 0), 0u);
+  // The shard alone: first line is the format header, no banner.
+  EXPECT_EQ(r.out.rfind("{\"ftsched_sweep_shard\":2", 0), 0u);
   EXPECT_NE(r.out.find("\"shard\":\"0/4\""), std::string::npos);
+}
+
+TEST_F(CliTest, MergeRejectsAVersionOneShardNamingIt) {
+  const std::string v1 =
+      std::string(FTSCHED_SOURCE_DIR) + "/tests/data/shard_v1.jsonl";
+  const CliResult r = run({"merge", "--in", v1});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find(v1 + ":1: shard format version 1"), std::string::npos)
+      << r.err;
+}
+
+TEST_F(CliTest, CountAndPortOptionsMustBeWholeUnsignedNumbers) {
+  // "8x" used to run as 8, and "-3" wrapped to 2^64 - 3 (an abort).
+  struct Case {
+    std::vector<std::string> args;
+    std::string error;
+  };
+  for (const Case& c : std::vector<Case>{
+           {{"schedule", "--workload", "paper:tmin=10,tmax=10", "--procs",
+             "-3"},
+            "option --procs expects a non-negative integer, got '-3'"},
+           {{"schedule", "--workload", "paper:tmin=10,tmax=10", "--procs",
+             "8x"},
+            "option --procs expects a non-negative integer, got '8x'"},
+           {{"sweep", "--graphs", "1", "--procs", "-3"},
+            "option --procs expects a non-negative integer"},
+           {{"serve", "--graphs", "1", "--port", "70000"},
+            "option --port is out of range: 70000 (at most 65535)"},
+           {{"worker", "--connect", "127.0.0.1:70000"},
+            "--connect port out of range: 70000"},
+           {{"schedule", "--workload", "paper:tmin=10,tmax=10", "--seed",
+             "42x"},
+            "option --seed is not an integer: 42x"}}) {
+    const CliResult r = run(c.args);
+    EXPECT_EQ(r.code, 1) << c.args.front();
+    EXPECT_NE(r.err.find(c.error), std::string::npos) << r.err;
+  }
 }
 
 TEST_F(CliTest, MergeRejectsIncompleteShardSet) {

@@ -2,8 +2,9 @@
 // caught by the validator; random graph serialization round trips; mutated
 // outside input (spec strings, shard files, protocol frames) is accepted or
 // rejected with an ftsched::Error naming it; signed or oversized integer
-// fields in graph and schedule text are rejected naming their line; the
-// umbrella header compiles and exposes the API.
+// fields in graph and schedule text, and malformed shard lines, are
+// rejected naming their line; merge refuses shards whose numerics differ;
+// the umbrella header compiles and exposes the API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -410,25 +411,37 @@ std::string frame(const std::string& payload) {
 TEST(InputFuzz, ProtocolFrames) {
   // One conversation's worth of frames, decoded the way the coordinator
   // and worker decode them: FrameDecoder, then the message head, then the
-  // typed fields (lease index lists, sample record lines).
+  // typed fields (lease index lists, a sample's declarations and record).
   std::istringstream shard(small_shard_text());
-  std::string header;
-  std::string record;
-  std::getline(shard, header);
-  std::getline(shard, record);
+  std::string line;
+  std::getline(shard, line);  // the header
+  std::string sample_lines;
+  while (std::getline(shard, line)) {
+    sample_lines += line + "\n";
+    if (line.rfind("s ", 0) != 0) break;  // through the first record
+  }
   const std::string stream =
       frame(msg_hello("worker0")) +
       frame(msg_plan({"--figure", "1", "--graphs", "2"}, "", "abc123")) +
-      frame(msg_ready("abc123")) + frame(msg_lease_request()) +
-      frame(msg_lease(3, {0, 2, 5})) +
-      frame(msg_sample_head(3, 2) + "\n" + record) + frame(msg_done(3)) +
-      frame(msg_heartbeat()) + frame(msg_reject("fingerprint mismatch")) +
-      frame(msg_bye());
+      frame(msg_ready("abc123", numerics_fingerprint())) +
+      frame(msg_lease_request()) + frame(msg_lease(3, {0, 2, 5})) +
+      frame(msg_sample_head(3, 2) + "\n" + sample_lines) +
+      frame(msg_done(3)) + frame(msg_heartbeat()) +
+      frame(msg_reject("fingerprint mismatch")) + frame(msg_bye());
   const auto parse_payload = [](const std::string& payload) {
     const ServiceMessage msg = parse_service_message(payload, "peer 7");
     if (msg.type == "lease") (void)parse_index_list(msg.field("ks"), msg.where);
-    for (const std::string& line : msg.record_lines) {
-      (void)parse_shard_record(line, msg.where);
+    ShardLineReader lines;
+    std::uint64_t id = 0;
+    ShardValues values;
+    std::string_view body = msg.body;
+    std::string_view one;
+    while (next_line(body, one)) {
+      try {
+        (void)lines.parse(one, id, values);
+      } catch (const InvalidArgument& e) {
+        throw InvalidArgument(msg.where + ": " + e.what());
+      }
     }
   };
   std::size_t frames_seen = 0;
@@ -451,6 +464,104 @@ TEST(InputFuzz, ProtocolFrames) {
                 }
               });
   EXPECT_GT(frames_seen, 0u);
+}
+
+/// `text` plus `line`, and the 1-based number `line` lands on.
+std::pair<std::string, std::size_t> with_line(const std::string& text,
+                                              const std::string& line) {
+  return {text + line + "\n",
+          static_cast<std::size_t>(std::count(text.begin(), text.end(),
+                                              '\n')) +
+              1};
+}
+
+/// read_shard throws InvalidArgument naming "name:line" and `what`.
+void expect_shard_rejected(const std::string& text, std::size_t line,
+                           const std::string& what) {
+  SCOPED_TRACE(what);
+  std::istringstream in(text);
+  try {
+    (void)read_shard(in, "edited.shard");
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InvalidArgument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("edited.shard:" + std::to_string(line) + ": "),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
+}
+
+TEST(TextReaders, ShardLinesRejectedNamingFileAndLine) {
+  const std::string text = small_shard_text();
+  std::istringstream in(text);
+  const ShardFile shard = read_shard(in, "small.shard");
+  ASSERT_EQ(shard.header.grid, 2u);
+  ASSERT_GE(shard.series.size(), 1u);
+  const std::string undeclared = std::to_string(shard.series.size());
+  struct Edit {
+    std::string line;
+    std::string what;
+  };
+  for (const Edit& edit : std::vector<Edit>{
+           {"1 " + undeclared + ":1p+0", "undeclared series id " + undeclared},
+           {"s 0 Again", "series id 0 declared twice"},
+           {"s " + undeclared + " " + shard.series[0],
+            "series '" + shard.series[0] + "' declared twice"},
+           {"1 0:1p+0 0:1p+1", "series id 0 repeated in one record"},
+           {"2 0:1p+0", "instance id 2 outside the grid of 2"},
+           {"1 0:1p+0 junk", "malformed value 'junk'"},
+           {"1 0:1p+0;", "value '0:1p+0;' is not one hex-float"},
+           {"1 0:0x1p+0", "value '0:0x1p+0' is not one hex-float"},
+           {"1 0:zz", "value '0:zz' is not one hex-float"},
+           {"1x 0:1p+0", "malformed record '1x 0:1p+0'"}}) {
+    const auto [edited, line] = with_line(text, edit.line);
+    expect_shard_rejected(edited, line, edit.what);
+  }
+  std::string v1 = text;
+  const std::string version = "\"ftsched_sweep_shard\":2";
+  ASSERT_EQ(v1.rfind(version, 1), 1u);
+  v1.replace(1, version.size(), "\"ftsched_sweep_shard\":1");
+  expect_shard_rejected(v1, 1, "shard format version 1 is no longer read");
+}
+
+TEST(TextReaders, MergeRejectsAMixOfNumericsNamingTheFile) {
+  // Two halves of one plan whose headers disagree on the numerics digest:
+  // one of the machines rounds differently, so its bits must not be mixed.
+  FigureConfig config = figure_config(1);
+  config.granularities = {0.5};
+  config.graphs_per_point = 2;
+  config.proc_count = 5;
+  config.workload.proc_count = 5;
+  config.seed = 3;
+  config.threads = 1;
+  const SweepPlan plan(config);
+  std::vector<ShardFile> shards;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const SweepPlan half = plan.shard(i, 2);
+    std::ostringstream os;
+    ShardWriterSink sink(os, half);
+    run_plan(half, sink);
+    std::string text = os.str();
+    if (i == 1) {
+      const std::size_t at = text.find(numerics_fingerprint());
+      ASSERT_NE(at, std::string::npos);
+      text.replace(at, 16, "0123456789abcdef");
+    }
+    std::istringstream in(text);
+    shards.push_back(read_shard(in, "half" + std::to_string(i) + ".shard"));
+  }
+  try {
+    (void)merge_shards(shards);
+    ADD_FAILURE() << "a numerics mix must be rejected";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("half1.shard has numerics fingerprint "
+                        "0123456789abcdef"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("half0.shard"), std::string::npos) << what;
+  }
 }
 
 /// `text` with field `field` of its first `kind` line that reads `from`

@@ -335,39 +335,23 @@ TEST(OnlinePolicy, ShardMergeRoundTripsThePolicyAxis) {
   EXPECT_TRUE(sweep_results_identical(reference, merged));
 }
 
-/// Removes every occurrence of `needle`, returning how many were cut.
-std::size_t strip_all(std::string& text, const std::string& needle) {
-  std::size_t cut = 0;
-  for (std::size_t at = text.find(needle); at != std::string::npos;
-       at = text.find(needle, at)) {
-    text.erase(at, needle.size());
-    ++cut;
+TEST(OnlinePolicy, ShardHeaderWithoutThePolicyAxisIsRejected) {
+  // Every shard header names its policy cells; a header without them is
+  // not read as an implicit `none` column, it is refused, naming the file.
+  const SweepPlan plan(policy_grid_config());
+  std::string text = shard_bytes(plan, RunPlanOptions{.group = true});
+  const std::size_t at = text.find(",\"policies\":\"");
+  ASSERT_NE(at, std::string::npos);
+  text.erase(at, text.find('"', text.find(":\"", at) + 2) + 1 - at);
+  std::stringstream file(text);
+  try {
+    (void)read_shard(file, "no-policies.shard");
+    ADD_FAILURE() << "a header without policies must be rejected";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no-policies.shard:1"), std::string::npos) << what;
+    EXPECT_NE(what.find("policies"), std::string::npos) << what;
   }
-  return cut;
-}
-
-TEST(OnlinePolicy, PrePolicyShardsReadAsAnImplicitNoneColumn) {
-  // A shard written before the policy axis existed has no "policies"
-  // header field and no "pol" record field; synthesise one by stripping
-  // exactly those bytes from a fresh default-policy shard and check the
-  // reader treats it as the single `none` column it always was.
-  FigureConfig config = policy_grid_config();
-  config.policies.clear();
-  config.failure_models = {"eps", "bernoulli:p=0.3"};
-  const SweepPlan plan(config);
-  OnlineStatsSink full_sink(plan);
-  run_plan(plan, full_sink, RunPlanOptions{.group = false});
-  const SweepResult reference = full_sink.take();
-
-  std::string legacy = shard_bytes(plan, RunPlanOptions{.group = true});
-  ASSERT_EQ(strip_all(legacy, ",\"policies\":\"none\""), 1u);
-  ASSERT_GT(strip_all(legacy, ",\"pol\":\"0\""), 0u);
-
-  std::stringstream file(legacy);
-  const ShardFile shard = read_shard(file, "pre-policy");
-  EXPECT_EQ(shard.header.policies, std::vector<std::string>{"none"});
-  EXPECT_EQ(shard.header.fingerprint(), plan.fingerprint());
-  EXPECT_TRUE(sweep_results_identical(reference, merge_shards({shard})));
 }
 
 TEST(OnlinePolicy, RepairDomainBeyondProcCountIsRejected) {

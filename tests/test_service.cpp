@@ -201,7 +201,7 @@ Socket acquire_lease(Coordinator& coordinator, const SweepPlan& plan,
   std::string payload;
   EXPECT_TRUE(pump_recv(coordinator, sock, payload));
   EXPECT_EQ(parse_service_message(payload, "raw").type, "plan");
-  sock.send_message(msg_ready(plan.fingerprint()));
+  sock.send_message(msg_ready(plan.fingerprint(), numerics_fingerprint()));
   sock.send_message(msg_lease_request());
   EXPECT_TRUE(pump_recv(coordinator, sock, payload));
   const ServiceMessage lease = parse_service_message(payload, "raw");
@@ -374,7 +374,8 @@ TEST_F(ServiceTest, DriftedFingerprintIsRejected) {
   std::string payload;
   ASSERT_TRUE(pump_recv(coordinator, sock, payload));
   ASSERT_EQ(parse_service_message(payload, "raw").type, "plan");
-  sock.send_message(msg_ready("v1 something-else-entirely"));
+  sock.send_message(
+      msg_ready("v1 something-else-entirely", numerics_fingerprint()));
   ASSERT_TRUE(pump_recv(coordinator, sock, payload));
   const ServiceMessage reject = parse_service_message(payload, "raw");
   EXPECT_EQ(reject.type, "reject");
@@ -382,6 +383,73 @@ TEST_F(ServiceTest, DriftedFingerprintIsRejected) {
   EXPECT_EQ(coordinator.stats().workers_rejected, 1u);
   // The rejected worker never leases anything.
   EXPECT_EQ(coordinator.stats().leases_granted, 0u);
+}
+
+TEST_F(ServiceTest, NumericsFingerprintMismatchIsRejectedNamingTheWorker) {
+  // Same grid, different bits: a worker built with FMA contraction (or
+  // another libm) reports another numerics digest and must not lease.
+  const SweepPlan plan(small_config());
+  RecordSink sink;
+  Coordinator coordinator(plan, sink, {});
+  Socket sock = connect_to("127.0.0.1", coordinator.port());
+  sock.send_message(msg_hello("fma-build"));
+  std::string payload;
+  ASSERT_TRUE(pump_recv(coordinator, sock, payload));
+  ASSERT_EQ(parse_service_message(payload, "raw").type, "plan");
+  sock.send_message(msg_ready(plan.fingerprint(), "0123456789abcdef"));
+  ASSERT_TRUE(pump_recv(coordinator, sock, payload));
+  const ServiceMessage reject = parse_service_message(payload, "raw");
+  EXPECT_EQ(reject.type, "reject");
+  const std::string cause = reject.field("cause");
+  EXPECT_NE(cause.find("numerics fingerprint mismatch"), std::string::npos)
+      << cause;
+  EXPECT_NE(cause.find("fma-build"), std::string::npos) << cause;
+  EXPECT_NE(cause.find("0123456789abcdef"), std::string::npos) << cause;
+  EXPECT_EQ(coordinator.stats().workers_rejected, 1u);
+  EXPECT_EQ(coordinator.stats().leases_granted, 0u);
+  for (int i = 0; i < 50 && coordinator.connections() != 0; ++i) {
+    coordinator.poll(5);
+  }
+  EXPECT_NE(coordinator.last_disconnect_cause().find("fma-build"),
+            std::string::npos)
+      << coordinator.last_disconnect_cause();
+}
+
+TEST_F(ServiceTest, SampleFramesAreCheckedAgainstTheirDictionary) {
+  // A sample frame must declare its series before use, carry one record
+  // and name the frame's instance; anything else drops the worker.
+  const SweepPlan plan(small_config());
+  struct Case {
+    const char* what;
+    std::string lines;  ///< after the head line
+    std::string cause;
+  };
+  const std::string id = std::to_string(plan.coord(0).id);
+  const std::string other = std::to_string(plan.coord(1).id);
+  for (const Case& c : std::vector<Case>{
+           {"undeclared sid", id + " 0:1p+0", "undeclared series id 0"},
+           {"sid declared twice", "s 0 A\ns 0 B\n" + id + " 0:1p+0",
+            "declared twice"},
+           {"duplicate sid", "s 0 A\n" + id + " 0:1p+0 0:1p+1",
+            "repeated in one record"},
+           {"wrong instance", "s 0 A\n" + other + " 0:1p+0",
+            "must carry one record of instance " + id},
+           {"two records", "s 0 A\n" + id + " 0:1p+0\n" + id + " 0:1p+0",
+            "must carry one record"}}) {
+    SCOPED_TRACE(c.what);
+    RecordSink sink;
+    Coordinator coordinator(plan, sink, {});
+    std::vector<std::size_t> ks;
+    Socket sock = acquire_lease(coordinator, plan, coordinator.port(), &ks);
+    ASSERT_FALSE(ks.empty());
+    sock.send_message(msg_sample_head(1, 0) + "\n" + c.lines);
+    std::string payload;
+    ASSERT_TRUE(pump_recv(coordinator, sock, payload));
+    const ServiceMessage reject = parse_service_message(payload, "raw");
+    EXPECT_EQ(reject.type, "reject");
+    EXPECT_NE(reject.field("cause").find(c.cause), std::string::npos)
+        << reject.field("cause");
+  }
 }
 
 // ------------------------------------------------------------------ resume
@@ -447,7 +515,7 @@ std::size_t journaled_coords(const std::string& subdir) {
   for (const auto& entry : std::filesystem::directory_iterator(subdir)) {
     if (entry.path().extension() != ".jsonl") continue;
     const ShardFile file = read_shard_file(entry.path().string());
-    for (const ShardRecord& r : file.records) ids.insert(r.coord.id);
+    for (const ShardSample& sample : file.samples) ids.insert(sample.id);
   }
   return ids.size();
 }

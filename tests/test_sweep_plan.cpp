@@ -1,10 +1,11 @@
 // The plan/execute/merge pipeline (experiments/sweep_plan.hpp +
 // sweep_io.hpp): grid enumeration and stable ids, shard selection,
-// sink-based execution, the JSONL shard protocol, and the acceptance
-// contract of PR 3 — merge_shards over ANY shard partition of the grid is
+// sink-based execution, the shard file format, and the pipeline's
+// acceptance contract — merge_shards over ANY partition of the grid is
 // bit-identical (sweep_results_identical) to the unsharded run_sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "ftsched/experiments/sweep_io.hpp"
 #include "ftsched/experiments/sweep_plan.hpp"
 #include "ftsched/util/error.hpp"
+#include "proptest.hpp"
 
 namespace ftsched {
 namespace {
@@ -44,7 +46,7 @@ FigureConfig single_cell_config() {
   return config;
 }
 
-/// Runs `plan` through a ShardWriterSink and parses the JSONL back.
+/// Runs `plan` through a ShardWriterSink and parses the shard back.
 ShardFile roundtrip_shard(const SweepPlan& plan, const std::string& name) {
   std::stringstream file;
   ShardWriterSink sink(file, plan);
@@ -144,20 +146,31 @@ TEST(SweepPlan, StatsSinkReproducesRunSweep) {
       via_sink.series.count("FTSA-LowerBound[chain:size=10|frac:f=0.5]"));
 }
 
-TEST(SweepPlan, ShardWriterEmitsSingletonRecords) {
+TEST(SweepPlan, ShardWriterEmitsOneLinePerCoordinate) {
   const SweepPlan plan(single_cell_config());
-  const ShardFile shard = roundtrip_shard(plan.shard(0, 2), "s0");
+  const SweepPlan half = plan.shard(0, 2);
+  std::stringstream file;
+  ShardWriterSink sink(file, half);
+  run_plan(half, sink);
+  const std::string text = file.str();
+  const ShardFile shard = read_shard(file, "s0");
   EXPECT_EQ(shard.header.shard, "0/2");
   EXPECT_EQ(shard.header.grid, plan.grid_size());
-  EXPECT_EQ(shard.header.selected, plan.shard(0, 2).size());
-  ASSERT_FALSE(shard.records.empty());
-  for (const ShardRecord& r : shard.records) {
-    EXPECT_EQ(r.stats.count(), 1u);
-    EXPECT_EQ(r.stats.m2(), 0.0);
-    EXPECT_EQ(r.stats.min(), r.stats.mean());
-    EXPECT_EQ(r.stats.max(), r.stats.mean());
-    EXPECT_LT(r.coord.id, plan.grid_size());
+  EXPECT_EQ(shard.header.selected, half.size());
+  // Header, one declaration per series, one record per coordinate.
+  ASSERT_EQ(shard.samples.size(), half.size());
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            1 + shard.series.size() + half.size());
+  for (std::size_t k = 0; k < half.size(); ++k) {
+    EXPECT_EQ(shard.samples[k].id, half.coord(k).id);
+    EXPECT_EQ(shard.samples[k].values.size(), shard.series.size());
   }
+  // Undecorated names: the single-cell grid has no suffix to strip, and
+  // the names are the runner's own.
+  EXPECT_NE(std::find(shard.series.begin(), shard.series.end(),
+                      "FTSA-LowerBound"),
+            shard.series.end());
 }
 
 TEST(SweepPlan, HeaderFingerprintMatchesPlan) {
@@ -168,6 +181,8 @@ TEST(SweepPlan, HeaderFingerprintMatchesPlan) {
   EXPECT_EQ(shard.header.fingerprint(), plan.fingerprint());
   EXPECT_EQ(shard_header(plan).fingerprint(), plan.fingerprint());
   EXPECT_EQ(shard.header.granularities, plan.granularities());
+  EXPECT_EQ(shard.header.numerics, numerics_fingerprint());
+  EXPECT_EQ(numerics_fingerprint().size(), 16u);
 }
 
 // ------------------------------------------------------------------- merge
@@ -204,6 +219,59 @@ TEST(MergeShards, BitIdenticalToUnshardedRun_MultiCell) {
 
 TEST(MergeShards, BitIdenticalToUnshardedRun_SingleCell) {
   expect_merge_bit_identical(single_cell_config());
+}
+
+/// Records every delivered sample, in delivery order.
+class RecordSink final : public SweepSink {
+ public:
+  void on_sample(const InstanceCoord& coord,
+                 const SeriesSample& sample) override {
+    coords.push_back(coord);
+    samples.push_back(sample);
+  }
+  std::vector<InstanceCoord> coords;
+  std::vector<SeriesSample> samples;
+};
+
+TEST(MergeShards, RandomPartitionsInAnyLineOrderMergeBitIdentically) {
+  // Strided shards are one partition family; the format promises more:
+  // any assignment of coordinates to files, in any line order, merges to
+  // the unsharded result.
+  FigureConfig config = cross_config();
+  config.failure_models = {"eps", "bernoulli:p=0.3"};
+  const SweepPlan plan(config);
+  const SweepResult reference = run_sweep(config);
+  RecordSink all;
+  run_plan(plan, all);
+  proptest::check(
+      "random shard partitions merge to the unsharded result",
+      [&](Rng& rng, std::uint64_t) {
+        const auto files = static_cast<std::size_t>(rng.uniform_int(1, 5));
+        std::vector<std::vector<std::size_t>> members(files);
+        for (std::size_t k = 0; k < plan.size(); ++k) {
+          members[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(files) - 1))]
+              .push_back(k);
+        }
+        std::vector<ShardFile> shards;
+        for (std::size_t f = 0; f < files; ++f) {
+          std::vector<std::size_t>& ks = members[f];
+          for (std::size_t i = ks.size(); i > 1; --i) {
+            std::swap(ks[i - 1],
+                      ks[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(i) - 1))]);
+          }
+          std::stringstream text;
+          ShardWriterSink sink(text, plan);
+          for (const std::size_t k : ks) {
+            sink.on_sample(all.coords[k], all.samples[k]);
+          }
+          shards.push_back(read_shard(text, "part" + std::to_string(f)));
+        }
+        EXPECT_TRUE(sweep_results_identical(reference, merge_shards(shards)))
+            << files << " files";
+      },
+      {.iterations = 12});
 }
 
 TEST(MergeShards, ShardsRunWithDifferentThreadCountsStillMergeIdentically) {
@@ -263,15 +331,19 @@ TEST(MergeShards, RejectsPaperParamsDrift) {
   EXPECT_EQ(shard_header(SweepPlan(cross_config())).paper_params, "");
 }
 
-TEST(MergeShards, RejectsCorruptedRecordCoordinates) {
+TEST(MergeShards, RejectsAnInstanceRecordedTwiceInOneFile) {
   const SweepPlan plan(cross_config());
   std::vector<ShardFile> shards{roundtrip_shard(plan, "full")};
-  // A record whose granularity index disagrees with its id must fail
-  // loudly — silently aggregating it onto the wrong point is exactly the
-  // drift the protocol promises to prevent.
-  ASSERT_FALSE(shards[0].records.empty());
-  shards[0].records[0].coord.gran ^= 1;
-  EXPECT_THROW((void)merge_shards(shards), InvalidArgument);
+  ASSERT_GE(shards[0].samples.size(), 2u);
+  shards[0].samples[1].id = shards[0].samples[0].id;  // id 1 now missing
+  try {
+    (void)merge_shards(shards);
+    ADD_FAILURE() << "a repeated instance must be rejected";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("appears twice (full, full)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MergeShards, RejectsInconsistentHeaderGridCount) {
@@ -286,31 +358,44 @@ TEST(MergeShards, RejectsGarbageStreams) {
   EXPECT_THROW((void)read_shard(not_a_shard, "garbage"), InvalidArgument);
   std::stringstream empty;
   EXPECT_THROW((void)read_shard(empty, "empty"), InvalidArgument);
-  std::stringstream truncated("{\"ftsched_sweep_shard\":1,\"seed\":\"1\"");
+  std::stringstream truncated("{\"ftsched_sweep_shard\":2,\"seed\":\"1\"");
   EXPECT_THROW((void)read_shard(truncated, "truncated"), InvalidArgument);
   EXPECT_THROW((void)merge_shards({}), InvalidArgument);
   EXPECT_THROW((void)read_shard_file("/nonexistent/shard.jsonl"),
                InvalidArgument);
 }
 
-TEST(MergeShards, MalformedFloatNamesFileAndField) {
+TEST(MergeShards, MalformedHeaderFloatNamesFileAndField) {
   std::stringstream file;
   const SweepPlan plan(single_cell_config());
   ShardWriterSink sink(file, plan);
-  run_plan(plan, sink);
   std::string text = file.str();
-  const std::string mean = "\"mean\":\"";
-  const std::size_t at = text.find(mean);
+  const std::string field = "\"granularities\":\"";
+  const std::size_t at = text.find(field);
   ASSERT_NE(at, std::string::npos);
-  text.insert(at + mean.size(), "zz");  // "0x1.8p+3" -> "zz0x1.8p+3"
+  text.insert(at + field.size(), "zz");  // "0x1.8p+3" -> "zz0x1.8p+3"
   std::stringstream corrupt(text);
   try {
     (void)read_shard(corrupt, "bad.jsonl");
     ADD_FAILURE() << "a malformed hex-float must be rejected";
   } catch (const InvalidArgument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("bad.jsonl"), std::string::npos) << what;
-    EXPECT_NE(what.find("'mean'"), std::string::npos) << what;
+    EXPECT_NE(what.find("bad.jsonl:1"), std::string::npos) << what;
+    EXPECT_NE(what.find("'granularities'"), std::string::npos) << what;
+  }
+}
+
+TEST(MergeShards, VersionOneShardIsRejectedNamingTheFile) {
+  // A shard written by an earlier build: one JSON record per series.
+  const std::string path =
+      std::string(FTSCHED_SOURCE_DIR) + "/tests/data/shard_v1.jsonl";
+  try {
+    (void)read_shard_file(path);
+    ADD_FAILURE() << "a version-1 shard must be rejected";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path + ":1:"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
   }
 }
 

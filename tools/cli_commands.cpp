@@ -73,7 +73,7 @@ TaskGraph load_graph(const std::string& path) {
 /// WorkloadRegistry spec) or --graph (a graph file) using CLI options.
 std::unique_ptr<Workload> load_workload(const CliParser& cli) {
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  const auto procs = static_cast<std::size_t>(cli.get_int("procs"));
+  const auto procs = cli.get_count("procs");
   const double granularity = cli.get_double("granularity");
   const std::string spec = cli.get("workload");
   if (!spec.empty()) {
@@ -195,7 +195,7 @@ int cmd_generate(const std::vector<std::string>& args, std::ostream& out) {
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   const TaskGraph g = generate_family(
-      cli.get("family"), static_cast<std::size_t>(cli.get_int("tasks")), rng);
+      cli.get("family"), cli.get_count("tasks"), rng);
   write_or_print(cli.get("out"),
                  cli.get_flag("dot") ? to_dot(g) : graph_to_string(g), out);
   return 0;
@@ -240,7 +240,7 @@ int cmd_schedule(const std::vector<std::string>& args, std::ostream& out) {
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) return 0;
 
   const auto workload = load_workload(cli);
-  const auto epsilon = static_cast<std::size_t>(cli.get_int("epsilon"));
+  const auto epsilon = cli.get_count("epsilon");
   const ReplicatedSchedule s =
       run_algorithm(cli.get("algo"), workload->costs(), epsilon,
                     static_cast<std::uint64_t>(cli.get_int("seed")));
@@ -286,7 +286,7 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) return 0;
 
   const auto workload = load_workload(cli);
-  const auto epsilon = static_cast<std::size_t>(cli.get_int("epsilon"));
+  const auto epsilon = cli.get_count("epsilon");
   const ReplicatedSchedule s =
       run_algorithm(cli.get("algo"), workload->costs(), epsilon,
                     static_cast<std::uint64_t>(cli.get_int("seed")));
@@ -314,7 +314,7 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
     options.comm.kind = CommModelKind::kOnePort;
   } else if (comm == "multiport") {
     options.comm.kind = CommModelKind::kBoundedMultiPort;
-    options.comm.ports = static_cast<std::size_t>(cli.get_int("ports"));
+    options.comm.ports = cli.get_count("ports");
   } else {
     FTSCHED_REQUIRE(comm == "free", "unknown comm model: " + comm);
   }
@@ -491,7 +491,7 @@ int cmd_plan(const std::vector<std::string>& args, std::ostream& out) {
   out << "backend:      " << backend->describe() << '\n';
   out << "fingerprint:  " << plan.fingerprint() << "\n\n";
 
-  const auto limit = static_cast<std::size_t>(cli.get_int("limit"));
+  const auto limit = cli.get_count("limit");
   const std::size_t rows =
       limit == 0 ? plan.size() : std::min(plan.size(), limit);
   TextTable table({"id", "workload", "scenario", "failure", "policy",
@@ -516,11 +516,11 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   CliParser cli(
       "ftsched_cli sweep: granularity sweep over (workload family x crash "
       "scenario) cells, deterministic for any thread count; with --shard, "
-      "runs one slice of the grid and emits the JSONL shard protocol "
+      "runs one slice of the grid and emits a shard file "
       "instead of CSV (recombine with 'merge')");
   add_sweep_grid_options(cli);
   cli.add_option("out", "",
-                 "write the CSV (or JSONL shard) to this file (stdout when "
+                 "write the CSV (or shard file) to this file (stdout when "
                  "empty)");
   cli.add_flag("ungrouped",
                "evaluate per coordinate (the in-process reference path: "
@@ -541,7 +541,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
         apply_shard_chain(SweepPlan(config), cli.get("shard"));
     const std::string path = cli.get("out");
     if (path.empty()) {
-      // Pure JSONL on stdout so the shard can be piped.
+      // The shard alone on stdout, so it can be piped.
       ShardWriterSink sink(out, plan);
       backend->run(plan, sink, run_options);
     } else {
@@ -572,7 +572,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
 
 int cmd_merge(const std::vector<std::string>& args, std::ostream& out) {
   CliParser cli(
-      "ftsched_cli merge: combine JSONL sweep shards (from 'sweep --shard') "
+      "ftsched_cli merge: combine sweep shard files (from 'sweep --shard') "
       "covering a full partition of one plan's grid into the CSV of the "
       "unsharded run — bit-identical, any partition");
   cli.add_option("in", "", "';'-separated shard files");
@@ -621,7 +621,7 @@ int cmd_list_backends(const std::vector<std::string>& args,
          "\"inproc:threads=4\" or\n"
          "\"socket:workers=3,manifest=/tmp/sweep-cache\"\n"
          "every backend delivers bit-identical samples in the same order, "
-         "so CSV and\nJSONL shard output never depend on the backend "
+         "so CSV and\nshard output never depend on the backend "
          "choice; the socket backend is\nthe coordinator service "
          "(lease expiry, work stealing, resumable manifests) run\n"
          "in-process — 'serve' and 'worker' expose the same service as "
@@ -659,8 +659,8 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   const SweepPlan plan =
       apply_shard_chain(SweepPlan(config), cli.get("shard"));
   CoordinatorOptions copts;
-  copts.port = static_cast<std::uint16_t>(cli.get_int("port"));
-  copts.lease = static_cast<std::size_t>(cli.get_int("lease"));
+  copts.port = static_cast<std::uint16_t>(cli.get_count("port", 65535));
+  copts.lease = cli.get_count("lease");
   copts.timeout = cli.get_double("timeout");
   copts.manifest_dir = cli.get("manifest-dir");
 
@@ -672,7 +672,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
       << " (" << plan.size() << " of " << plan.grid_size()
       << " instances, shard " << plan.shard_label() << ") ===" << std::endl;
 
-  const auto local = static_cast<std::size_t>(cli.get_int("workers"));
+  const auto local = cli.get_count("workers");
   std::atomic<std::size_t> running{0};
   std::vector<std::thread> threads;
   threads.reserve(local);
@@ -741,13 +741,16 @@ int cmd_worker(const std::vector<std::string>& args, std::ostream& out) {
                       target + "'");
   WorkerOptions w;
   w.host = target.substr(0, colon);
-  w.port = static_cast<std::uint16_t>(
-      spec_detail::parse_u64("port", target.substr(colon + 1)));
+  const std::uint64_t port =
+      spec_detail::parse_u64("port", target.substr(colon + 1));
+  FTSCHED_REQUIRE(port <= 65535, "--connect port out of range: " +
+                                     target.substr(colon + 1) +
+                                     " (at most 65535)");
+  w.port = static_cast<std::uint16_t>(port);
   w.name = cli.get("name");
-  w.max_leases = static_cast<std::size_t>(cli.get_int("max-leases"));
-  w.kill_after_leases =
-      static_cast<std::size_t>(cli.get_int("kill-after-leases"));
-  w.sample_delay_ms = static_cast<std::size_t>(cli.get_int("delay-ms"));
+  w.max_leases = cli.get_count("max-leases");
+  w.kill_after_leases = cli.get_count("kill-after-leases");
+  w.sample_delay_ms = cli.get_count("delay-ms");
 
   const WorkerReport report = run_worker(w);
   out << "worker " << w.name << ": " << report.leases_completed
@@ -772,7 +775,7 @@ int cmd_validate(const std::vector<std::string>& args, std::ostream& out) {
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) return 0;
 
   const auto workload = load_workload(cli);
-  const auto epsilon = static_cast<std::size_t>(cli.get_int("epsilon"));
+  const auto epsilon = cli.get_count("epsilon");
   const ReplicatedSchedule s =
       run_algorithm(cli.get("algo"), workload->costs(), epsilon,
                     static_cast<std::uint64_t>(cli.get_int("seed")));
@@ -810,7 +813,7 @@ std::string usage() {
       "  simulate        execute a schedule under a crash scenario\n"
       "  sweep           (workload x scenario x failure model x policy x\n"
       "                  granularity) sweep to CSV; --shard i/N emits a\n"
-      "                  JSONL shard\n"
+      "                  shard file\n"
       "  merge           combine sweep shards into the unsharded CSV\n"
       "  validate        exhaustive Theorem-4.1 validation + kill-set "
       "analysis\n"

@@ -8,7 +8,7 @@
 //   schedule  — schedule a graph file with any algorithm; print bounds,
 //               optionally an ASCII Gantt, JSON, or a schedule file
 //   simulate  — execute a schedule under a crash scenario
-//   sweep     — run a sweep to CSV, or one shard of it to JSONL (--shard)
+//   sweep     — run a sweep to CSV, or one shard of it to a shard file
 //   merge     — combine sweep shards into the unsharded CSV (bit-identical)
 //   validate  — exhaustive fault-tolerance validation + kill-set analysis
 #pragma once
