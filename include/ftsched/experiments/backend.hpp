@@ -7,9 +7,7 @@
 // are selected by spec string through the same SpecRegistry seam as
 // schedulers, workload families and failure models:
 //
-//   inproc[:threads=N]               the ParallelExecutor path, and the
-//                                    only one that runs --ungrouped (the
-//                                    reference the grouped paths match)
+//   inproc[:threads=N]               the ParallelExecutor path (run_plan)
 //   socket[:workers=K,lease=L,...]   the sweep-coordinator service
 //                                    (service/coordinator.hpp) leasing
 //                                    whole schedule-reuse groups to local

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "ftsched/core/mc_ftsa.hpp"
 #include "ftsched/core/scheduler.hpp"
 #include "ftsched/experiments/config.hpp"
 #include "ftsched/platform/failure.hpp"
@@ -34,7 +33,8 @@ namespace ftsched {
 /// Series name → value (normalized latency or overhead %), one instance.
 using SeriesSample = std::map<std::string, double>;
 
-/// One algorithm evaluated by evaluate_instance, with the series it emits.
+/// One algorithm an instance is scheduled and simulated with, plus the
+/// series it emits.
 ///
 /// `spec` is a SchedulerRegistry spec; the runner injects the instance's
 /// epsilon (as `eps`) and tie-break seed (as `seed`) unless the spec pins
@@ -57,31 +57,16 @@ struct InstanceOptions {
   std::size_t epsilon = 1;
   /// FTSA crash counts to simulate besides 0 and epsilon.
   std::vector<std::size_t> extra_crash_counts;
-  McSelector mc_selector = McSelector::kGreedy;
   SimulationOptions sim;
   std::uint64_t seed = 0;  ///< scheduler tie-break seed
-  /// Crash-instant law (scenario dimension).  Unit times are drawn once per
-  /// instance right after the victims and shared across algorithms, each
-  /// anchored to that algorithm's failure-free lower bound.  The default
-  /// t=0 law draws nothing, preserving legacy RNG streams bit-exactly.
-  CrashTimeLaw crash_law;
-  /// Failure-model law (count + victim dimension).  The default (ε uniform
-  /// victims) consumes exactly the legacy draws and emits exactly the
-  /// legacy series.  A non-default model draws the instance's victim set —
-  /// possibly more than ε victims — and adds, per algorithm, the simulated
-  /// "<A>-DrawnCrash" latency plus an "<A>-Success" indicator whose cell
-  /// mean is the graceful-degradation success fraction (the simulator is
-  /// *not* asserted to succeed past ε), and a per-instance "DrawnCrashes"
-  /// count series.  Legacy fixed-count series are kept for counts the draw
-  /// covers (k <= both ε and the drawn count), paired on victim prefixes.
-  FailureModel failure_model;
   /// Algorithms to evaluate; empty = the paper's trio (FTSA, MC-FTSA,
   /// FTBAR) with the series layout described below.
   std::vector<InstanceAlgo> algos;
 };
 
-/// The default algorithm list evaluate_instance uses when `options.algos`
-/// is empty (exposed so callers can extend rather than replace it).
+/// The default algorithm list build_instance_schedules uses when
+/// `options.algos` is empty (exposed so callers can extend rather than
+/// replace it).
 [[nodiscard]] std::vector<InstanceAlgo> default_instance_algos(
     const InstanceOptions& options);
 
@@ -131,9 +116,9 @@ struct InstanceSchedules {
 };
 
 /// Runs the schedule phase: fault-free references plus one schedule per
-/// algorithm (options.crash_law / options.failure_model are not consulted —
-/// the result is shared by every cell).  Draws nothing from any RNG: all
-/// scheduler randomness is keyed off options.seed.
+/// algorithm, shared by every (scenario, failure, policy) cell.  Draws
+/// nothing from any RNG: all scheduler randomness is keyed off
+/// options.seed.
 [[nodiscard]] InstanceSchedules build_instance_schedules(
     const Workload& workload, const InstanceOptions& options);
 
@@ -162,8 +147,7 @@ struct CellDraw {
 
 /// Draws one cell's randomness from `rng` for a platform of `proc_count`
 /// processors tolerating `epsilon` crashes: victims first, then unit
-/// times — consuming exactly the stream simulate_instance_cell consumes.
-/// Models with new-in-PR-9 laws draw *after* the legacy stream: a burst law
+/// times.  Burst and repair laws draw *after* that stream: a burst law
 /// re-anchors the unit times on a common onset plus per-victim offsets, and
 /// a repair law appends the unit repair delays — so every pre-existing
 /// model's stream stays bit-identical.
@@ -226,6 +210,17 @@ class SimulationCache {
 /// law drew, so repaired processors resume their parked work.  With a
 /// cache, repeated draws are served from the memo.  The result is
 /// bit-identical with and without a cache.
+///
+/// Emitted series, merged with the schedule-derived ones: per algorithm
+/// <A>, <A>-<k>Crash (k in crash_counts) and its OH- overhead twin
+/// (relative to FaultFree-FTSA, in percent).  The victims of the draw are
+/// shared across algorithms and truncated for smaller crash counts, so
+/// every curve faces the same failures.  A non-default failure model may
+/// draw more than ε victims; it adds a "DrawnCrashes" count and, per
+/// algorithm, "<A>-Success" (cell mean = the graceful-degradation success
+/// fraction; nothing is asserted past ε) and, on success, the
+/// "<A>-DrawnCrash" latency and its overhead.  Fixed-count series are kept
+/// for the counts the draw covers.
 [[nodiscard]] SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
                                                const CellDraw& draw,
                                                SimulationCache* cache);
@@ -243,32 +238,6 @@ class SimulationCache {
 [[nodiscard]] SeriesSample simulate_online_cell(
     const InstanceSchedules& schedules, const CellDraw& draw,
     ReschedulePolicy& policy);
-
-/// Runs the simulate phase of one (scenario, failure) cell on prebuilt
-/// schedules: draws the victim set and crash instants from `rng` and emits
-/// the cell-dependent series (crash latencies, overheads, graceful
-/// degradation) merged with the shared schedule-derived series.
-/// evaluate_instance(w, rng, o) ==
-/// simulate_instance_cell(build_instance_schedules(w, o), rng, o.crash_law,
-/// o.failure_model), double for double.  Equivalent to draw_instance_cell
-/// followed by simulate_drawn_cell without a cache.
-[[nodiscard]] SeriesSample simulate_instance_cell(
-    const InstanceSchedules& schedules, Rng& rng, const CrashTimeLaw& crash_law,
-    const FailureModel& failure_model);
-
-/// Evaluates one instance.  Crash victims are drawn from `rng` once and
-/// shared across algorithms (and truncated for smaller crash counts), so
-/// every curve faces the same failures.
-///
-/// Emitted series: per algorithm <A>,
-///   <A>-LowerBound, <A>-UpperBound, <A>-<k>Crash (k in crash_counts),
-///   Msg-<A>, and OH- overhead twins (relative to FaultFree-FTSA, in
-///   percent) of the crash series and (per flag) the lower bound; plus the
-///   FaultFree-FTSA and FaultFree-FTBAR reference series.  The default
-///   trio reproduces the paper's exact series set.
-[[nodiscard]] SeriesSample evaluate_instance(const Workload& workload,
-                                             Rng& rng,
-                                             const InstanceOptions& options);
 
 /// Aggregated sweep: per granularity, per series, an OnlineStats over the
 /// instances.

@@ -147,12 +147,6 @@ class SweepPlan {
   /// whose fingerprints differ.
   [[nodiscard]] std::string fingerprint() const;
 
-  /// Evaluates one instance on its own derived RNG stream; the result
-  /// depends only on (config, coord), never on what else ran.  This is the
-  /// legacy per-coordinate path — it reruns every scheduler pass per cell —
-  /// kept as the equivalence reference for the grouped path below.
-  [[nodiscard]] SeriesSample evaluate(const InstanceCoord& coord) const;
-
   /// Selected-instance indices (arguments for coord()) grouped by base key
   /// (workload, granularity, repetition): every index of one group shares
   /// the derived RNG stream, hence the workload instance and all schedules
@@ -169,9 +163,11 @@ class SweepPlan {
   /// snapshot of the shared RNG stream — `none` cells through the static
   /// replay (shared SimulationCache), reactive cells through the online
   /// simulator with one policy instance per label.  Returns one sample per
-  /// member, in order — bit-identical to evaluate(coord(k)) for each
-  /// member, because the schedule phase draws nothing from the instance
-  /// stream.  Throws if the indices do not all share one base key.
+  /// member, in order — bit-identical to evaluating each member alone
+  /// (evaluate_group({k})), because the schedule phase draws nothing from
+  /// the instance stream.  A sample depends only on (config, coord), never
+  /// on the group or shard it was evaluated in.  Throws if the indices do
+  /// not all share one base key.
   ///
   /// All members share one SimulationCache, so cells whose (victims,
   /// instants) draws coincide run the event simulation once (cross-cell
@@ -211,8 +207,8 @@ class SweepPlan {
   std::string shard_label_ = "full";
 };
 
-/// Execution counters of one run_plan call (grouped path only — the legacy
-/// per-coordinate path runs without a cache and reports nothing).
+/// Execution counters of one run_plan call, summed over its groups'
+/// SimulationCaches.
 struct RunPlanStats {
   std::uint64_t simulations_run = 0;  ///< event simulations actually run
   std::uint64_t dedupe_hits = 0;      ///< simulations served from group caches
@@ -221,13 +217,6 @@ struct RunPlanStats {
 /// Execution options of run_plan (the grid identity — fingerprint, ids,
 /// sample values — never depends on them).
 struct RunPlanOptions {
-  /// Schedule-once/simulate-many: group the selected coordinates by their
-  /// (workload, granularity, repetition) base key and run the schedule
-  /// phase once per group, simulating every selected (scenario, failure)
-  /// cell off the shared schedules.  false = the legacy per-coordinate
-  /// path; both deliver bit-identical samples in the same order, the
-  /// grouped path just skips the redundant scheduler passes.
-  bool group = true;
   /// Bounded reordering window, in jobs: a worker may start job j only
   /// once fewer than `window` earlier jobs are still incomplete, and every
   /// completed order-prefix is delivered to the sink while workers run —
@@ -236,7 +225,7 @@ struct RunPlanOptions {
   /// is deadlock-free (the job at the window's base always proceeds).
   std::size_t window = 0;
   /// Optional dedupe counters, accumulated across all groups under the
-  /// delivery lock (grouped path only).  Must outlive the run_plan call.
+  /// delivery lock.  Must outlive the run_plan call.
   RunPlanStats* stats = nullptr;
   /// Worker-thread override for the in-process executor; unset = use
   /// plan.config().threads (where 0 = hardware concurrency).  Execution
@@ -246,8 +235,9 @@ struct RunPlanOptions {
   std::optional<std::size_t> threads;
 };
 
-/// Evaluates the plan's selected instances on `plan.config().threads`
-/// workers (0 = hardware_concurrency) and streams the samples into `sink`
+/// Evaluates the plan's selected instances, one evaluate_group job per
+/// group_selection() group, on `plan.config().threads` workers
+/// (0 = hardware_concurrency) and streams the samples into `sink`
 /// serially in increasing-id order.  Bit-identical for every thread count,
 /// shard partition and RunPlanOptions choice; samples are delivered as
 /// their order-prefix completes (so a sink may have consumed a prefix if

@@ -187,8 +187,9 @@ class FailureModel {
   [[nodiscard]] CountKind count_kind() const noexcept { return count_; }
   [[nodiscard]] VictimKind victim_kind() const noexcept { return victims_; }
 
-  /// True for the paper default (ε uniform victims): evaluate_instance
-  /// keeps its legacy RNG stream and series layout exactly.
+  /// True for the paper default (ε uniform victims): draw_cell and
+  /// simulate_drawn_cell keep the paper's RNG stream and series layout
+  /// exactly.
   [[nodiscard]] bool is_default() const noexcept {
     return count_ == CountKind::kEpsilon && victims_ == VictimKind::kUniform;
   }

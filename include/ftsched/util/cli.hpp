@@ -33,6 +33,8 @@ class CliParser {
   /// and ports; a sign or a larger value is an error naming the option.
   [[nodiscard]] std::uint64_t get_count(
       const std::string& name, std::uint64_t max = UINT64_MAX) const;
+  /// The whole value as a double, parsed independently of the C locale;
+  /// trailing characters are an error naming the option.
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 

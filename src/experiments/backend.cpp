@@ -144,10 +144,7 @@ class SocketBackend final : public SweepBackend {
 };
 
 void SocketBackend::run(const SweepPlan& plan, SweepSink& sink,
-                        const RunPlanOptions& options) const {
-  FTSCHED_REQUIRE(options.group,
-                  "socket workers always evaluate grouped; --ungrouped is "
-                  "the in-process reference path (--backend inproc)");
+                        const RunPlanOptions& /*options*/) const {
   const std::size_t n = plan.size();
   if (n == 0) return;
 

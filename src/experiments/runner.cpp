@@ -55,9 +55,7 @@ std::vector<InstanceAlgo> default_instance_algos(
 
   InstanceAlgo mc;
   mc.key = "MC-FTSA";
-  mc.spec = options.mc_selector == McSelector::kGreedy
-                ? "mc-ftsa"
-                : "mc-ftsa:selector=matching";
+  mc.spec = "mc-ftsa";
   mc.crash_counts.push_back(options.epsilon);
   mc.repair_series = "MC-RepairRate";
 
@@ -328,25 +326,6 @@ SeriesSample simulate_online_cell(const InstanceSchedules& schedules,
     sample[a.moves_series] = static_cast<double>(result.moves);
   }
   return sample;
-}
-
-SeriesSample simulate_instance_cell(const InstanceSchedules& schedules,
-                                    Rng& rng, const CrashTimeLaw& crash_law,
-                                    const FailureModel& failure_model) {
-  const CellDraw draw =
-      draw_instance_cell(schedules, rng, crash_law, failure_model);
-  return simulate_drawn_cell(schedules, draw, nullptr);
-}
-
-SeriesSample evaluate_instance(const Workload& workload, Rng& rng,
-                               const InstanceOptions& options) {
-  // Schedule phase then simulate phase.  The schedule phase draws nothing
-  // from `rng`, so splitting here is stream-invariant: the victim and
-  // crash-instant draws land on exactly the pre-split state.
-  const InstanceSchedules schedules =
-      build_instance_schedules(workload, options);
-  return simulate_instance_cell(schedules, rng, options.crash_law,
-                                options.failure_model);
 }
 
 std::string decorate_series_name(const std::string& series,

@@ -44,7 +44,7 @@ SweepPlan::SweepPlan(const FigureConfig& config)
   // The policy dimension: parsed once up front so a bad spec fails at plan
   // construction, not mid-sweep on a worker.  Policies are per-run mutable
   // (prepare/begin_run state), so the plan keeps only the labels and which
-  // of them are no-ops; the evaluate paths instantiate the live ones.
+  // of them are no-ops; evaluate_group instantiates the live ones.
   const std::vector<std::string> policy_specs =
       config.policies.empty() ? std::vector<std::string>{"none"}
                               : config.policies;
@@ -158,42 +158,6 @@ const SweepPlan::Cell& SweepPlan::cell(const InstanceCoord& coord) const {
                 coord.failure];
 }
 
-SeriesSample SweepPlan::evaluate(const InstanceCoord& coord) const {
-  // One RNG stream per (workload family, granularity, repetition), keyed
-  // off the root seed via Rng::derive: every stream is reproducible in
-  // isolation from (seed, coordinates) alone — no serial split chain — so
-  // any subset of the grid can be recomputed independently, and results
-  // never depend on thread count or shard layout.  Scenario and failure
-  // cells of the same family deliberately share the key: each cell faces
-  // the same instances (and, for cells whose count/victim laws draw the
-  // same way, the same crash victims — paired comparison), extending the
-  // "every curve faces the same failures" contract of evaluate_instance to
-  // the scenario and failure dimensions.
-  Rng rng = root_.derive(base_key(coord));
-  const Cell& c = cell(coord);
-  const SweepPoint point{config_.granularities[coord.gran],
-                         config_.proc_count};
-  const auto workload = c.family->generate(rng, point);
-  InstanceOptions options;
-  options.epsilon = config_.epsilon;
-  options.extra_crash_counts = config_.extra_crash_counts;
-  options.crash_law = c.law;
-  options.failure_model = c.model;
-  options.seed = rng();
-  if (policy_noop_[coord.policy]) {
-    // `none` IS the legacy path — not a reimplementation of it — so the
-    // degenerate policy cell stays byte-identical to the pre-policy sweep
-    // by construction (streams, series, event ordering, everything).
-    return evaluate_instance(*workload, rng, options);
-  }
-  const InstanceSchedules schedules =
-      build_instance_schedules(*workload, options);
-  const CellDraw draw = draw_instance_cell(schedules, rng, c.law, c.model);
-  const ReschedulePolicyPtr policy =
-      make_reschedule_policy(policy_labels_[coord.policy]);
-  return simulate_online_cell(schedules, draw, *policy);
-}
-
 std::vector<std::vector<std::size_t>> SweepPlan::group_selection() const {
   std::vector<std::vector<std::size_t>> groups;
   std::unordered_map<std::uint64_t, std::size_t> group_of_key;
@@ -214,10 +178,18 @@ std::vector<SeriesSample> SweepPlan::evaluate_group(
   const InstanceCoord first = coord(members.front());
   const std::uint64_t key = base_key(first);
 
-  // Exactly the stream of evaluate(): derive, generate, draw the scheduler
-  // seed — then snapshot.  The schedule phase consumes nothing from `rng`,
-  // so each cell's victim/crash-instant draws start from the same state the
-  // per-coordinate path would have given them.
+  // One RNG stream per (workload family, granularity, repetition), keyed
+  // off the root seed via Rng::derive: every stream is reproducible in
+  // isolation from (seed, coordinates) alone — no serial split chain — so
+  // any subset of the grid can be recomputed independently, and results
+  // never depend on thread count, grouping or shard layout.  Scenario,
+  // failure and policy cells of the same family deliberately share the
+  // key: each cell faces the same instance (and, for cells whose count/
+  // victim laws draw the same way, the same crash victims — paired
+  // comparison).  Derive, generate, draw the scheduler seed — then
+  // snapshot.  The schedule phase consumes nothing from `rng`, so each
+  // cell's victim/crash-instant draws start from the same state whatever
+  // else the group holds.
   Rng rng = root_.derive(key);
   const SweepPoint point{config_.granularities[first.gran],
                          config_.proc_count};
@@ -271,20 +243,11 @@ void run_plan(const SweepPlan& plan, SweepSink& sink,
   const std::size_t n = plan.size();
   if (n == 0) return;
 
-  // One job per base-key group (schedule-once/simulate-many) or per
-  // coordinate (legacy reference path).  Either way, jobs are ordered by
-  // their first selected index and delivery is strictly in selected order,
-  // so sinks observe exactly the serial coordinate order whatever the
-  // thread count — aggregation rounding is pinned.
-  std::vector<std::vector<std::size_t>> jobs;
-  if (options.group) {
-    jobs = plan.group_selection();
-  } else {
-    jobs.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      jobs.push_back(std::vector<std::size_t>{k});
-    }
-  }
+  // One job per base-key group (schedule-once/simulate-many).  Jobs are
+  // ordered by their first selected index and delivery is strictly in
+  // selected order, so sinks observe exactly the serial coordinate order
+  // whatever the thread count — aggregation rounding is pinned.
+  const std::vector<std::vector<std::size_t>> jobs = plan.group_selection();
   const std::size_t job_count = jobs.size();
 
   // slot_of[k] = (job, position within the job) producing selected index k.
@@ -330,10 +293,7 @@ void run_plan(const SweepPlan& plan, SweepSink& sink,
     std::vector<SeriesSample> samples;
     SimulationCache::Stats job_stats;
     try {
-      samples = options.group
-                    ? plan.evaluate_group(jobs[j], &job_stats)
-                    : std::vector<SeriesSample>{
-                          plan.evaluate(plan.coord(jobs[j].front()))};
+      samples = plan.evaluate_group(jobs[j], &job_stats);
     } catch (...) {
       // Record the failure before rethrowing so workers gated on the
       // window can't wait forever on a prefix that will never complete;

@@ -457,8 +457,8 @@ std::vector<std::size_t> FailureModel::draw(Rng& rng, std::size_t proc_count,
   }
 
   if (victims_ == VictimKind::kUniform) {
-    // The default model's draw is bit-identical to the legacy
-    // evaluate_instance victim draw (one sample_without_replacement).
+    // The default model's draw is the paper's ε-victim draw: one
+    // sample_without_replacement.
     return rng.sample_without_replacement(proc_count, count);
   }
 

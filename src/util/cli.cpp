@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "ftsched/util/error.hpp"
+#include "ftsched/util/spec.hpp"
 
 namespace ftsched {
 
@@ -90,12 +91,8 @@ std::uint64_t CliParser::get_count(const std::string& name,
 }
 
 double CliParser::get_double(const std::string& name) const {
-  const std::string v = get(name);
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw InvalidArgument("option --" + name + " is not a number: " + v);
-  }
+  // The whole value, locale-free: "1.0x" is an error, not 1.0.
+  return spec_detail::parse_double("--" + name, get(name));
 }
 
 bool CliParser::get_flag(const std::string& name) const {

@@ -21,6 +21,7 @@
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/workload/paper_workload.hpp"
+#include "per_coordinate.hpp"
 #include "proptest.hpp"
 
 namespace ftsched {
@@ -364,7 +365,8 @@ TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {
   // SimulationCache, for default and non-default failure models (the latter
   // drawing past ε into the graceful-degradation series).
   proptest::check(
-      "simulate_drawn_cell(cache) == simulate_instance_cell, bit for bit",
+      "simulate_drawn_cell(cache) == simulate_drawn_cell(no cache), bit for "
+      "bit",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 5 + below(rng, 3);
         const auto w = random_workload(rng, procs, 14 + below(rng, 12));
@@ -395,8 +397,9 @@ TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {
                 draw_instance_cell(schedules, cell_rng, law, model);
             const SeriesSample with_cache =
                 simulate_drawn_cell(schedules, draw, &cache);
-            const SeriesSample reference =
-                simulate_instance_cell(schedules, check_rng, law, model);
+            const SeriesSample reference = simulate_drawn_cell(
+                schedules, draw_instance_cell(schedules, check_rng, law, model),
+                nullptr);
             EXPECT_EQ(with_cache, reference);
           }
         }
@@ -415,8 +418,11 @@ TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {
         const std::uint64_t hits_before = cache.stats().hits;
         const SeriesSample again = simulate_drawn_cell(schedules, replay, &cache);
         Rng ref_rng = rng;
-        EXPECT_EQ(again, simulate_instance_cell(schedules, ref_rng, laws[0],
-                                                models[0]));
+        EXPECT_EQ(again,
+                  simulate_drawn_cell(schedules,
+                                      draw_instance_cell(schedules, ref_rng,
+                                                         laws[0], models[0]),
+                                      nullptr));
         EXPECT_EQ(cache.stats().simulations, sims_before);
         EXPECT_GT(cache.stats().hits, hits_before);
       },
@@ -426,8 +432,8 @@ TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {
 TEST(BatchSim, EvaluateGroupStatsCountDedupedSimulations) {
   // A grid whose failure cells draw identical (victims, instants) tuples —
   // eps vs fixed:k=ε — plus the always-shared k = 0 scenario: the grouped
-  // path must report cache hits while staying bit-identical to the
-  // per-coordinate reference.
+  // path must report cache hits while staying bit-identical to each member
+  // evaluated alone.
   FigureConfig config = figure_config(1);
   config.granularities = {0.5, 1.0};
   config.graphs_per_point = 2;
@@ -446,8 +452,8 @@ TEST(BatchSim, EvaluateGroupStatsCountDedupedSimulations) {
         plan.evaluate_group(group, &stats);
     ASSERT_EQ(grouped.size(), group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
-      EXPECT_EQ(grouped[i], plan.evaluate(plan.coord(group[i])))
-          << "member " << i << " diverged from the per-coordinate path";
+      EXPECT_EQ(grouped[i], reference::evaluate_alone(plan, group[i]))
+          << "member " << i << " diverged from the member alone";
     }
   }
   EXPECT_GT(stats.simulations, 0u);
@@ -461,13 +467,8 @@ TEST(BatchSim, EvaluateGroupStatsCountDedupedSimulations) {
   run_plan(plan, grouped_sink, run_options);
   SweepResult grouped = grouped_sink.take();
 
-  OnlineStatsSink ungrouped_sink(plan);
-  RunPlanOptions ungrouped_options;
-  ungrouped_options.group = false;
-  run_plan(plan, ungrouped_sink, ungrouped_options);
-  SweepResult ungrouped = ungrouped_sink.take();
-
-  EXPECT_TRUE(sweep_results_identical(grouped, ungrouped));
+  EXPECT_TRUE(sweep_results_identical(
+      grouped, reference::per_coordinate_result(plan)));
   EXPECT_EQ(run_stats.simulations_run, stats.simulations);
   EXPECT_EQ(run_stats.dedupe_hits, stats.hits);
 }

@@ -4,10 +4,12 @@
 
 #include <unistd.h>
 
+#include <clocale>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <locale>
 #include <sstream>
 
 #include "cli_commands.hpp"
@@ -554,6 +556,52 @@ TEST_F(CliTest, CountAndPortOptionsMustBeWholeUnsignedNumbers) {
   }
 }
 
+TEST_F(CliTest, DoubleOptionsMustBeWholeNumbers) {
+  // "1.0x" used to run as 1.0, and the radix followed the C locale.
+  for (const auto& [args, option] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"schedule", "--workload", "paper:tmin=10,tmax=10",
+             "--granularity", "1.0x"},
+            "'--granularity'"},
+           {{"serve", "--graphs", "1", "--timeout", "2s"}, "'--timeout'"}}) {
+    const CliResult r = run(args);
+    EXPECT_EQ(r.code, 1) << args.front();
+    EXPECT_NE(r.err.find("option " + option + ": expected a number, got '" +
+                         args.back() + "'"),
+              std::string::npos)
+        << r.err;
+  }
+
+  const std::vector<std::string> schedule{"schedule", "--workload",
+                                          "paper:tmin=10,tmax=10",
+                                          "--granularity"};
+  auto with_granularity = [&](const std::string& value) {
+    std::vector<std::string> args = schedule;
+    args.push_back(value);
+    return run(args);
+  };
+  const CliResult whole = with_granularity("1.0");
+  const CliResult fraction = with_granularity("1.5");
+  ASSERT_EQ(fraction.code, 0) << fraction.err;
+  EXPECT_NE(fraction.out, whole.out) << "--granularity 1.5 ran as 1.0";
+  // The same under a comma-radix C and C++ locale, where std::stod would
+  // have stopped at the '.'.
+  const std::string old_c = std::setlocale(LC_ALL, nullptr);
+  const std::locale old_cpp;
+  for (const char* name : {"de_DE.UTF-8", "de_DE.utf8"}) {
+    try {
+      std::locale::global(std::locale(name));
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    EXPECT_NE(with_granularity("1.5").out, with_granularity("1.0").out)
+        << "--granularity 1.5 ran as 1.0 under " << name;
+    break;
+  }
+  std::locale::global(old_cpp);
+  std::setlocale(LC_ALL, old_c.c_str());
+}
+
 TEST_F(CliTest, MergeRejectsIncompleteShardSet) {
   const std::string part = (dir_ / "part0.jsonl").string();
   ASSERT_EQ(run(with_grid({"sweep"}, {"--shard", "0/3", "--out", part})).code,
@@ -600,22 +648,13 @@ TEST_F(CliTest, SweepSocketBackendMatchesDefaultCsv) {
       << "socket-backend CSV is not byte-identical to the default";
 }
 
-TEST_F(CliTest, UngroupedSweepIsInprocOnly) {
-  // The per-coordinate path is the in-process reference; socket workers
-  // always group, so asking for both is an error before any spawn.
-  const CliResult r = run(with_grid(
-      {"sweep"}, {"--ungrouped", "--backend",
-                  "socket:workers=1,bin=" FTSCHED_CLI_PATH ",dir=" +
-                      dir_.string()}));
+TEST_F(CliTest, UngroupedSweepIsUnknownOption) {
+  // Every sweep schedules once per (workload, granularity, rep) group; the
+  // per-coordinate reference lives in the tests, not behind a flag.
+  const CliResult r = run(with_grid({"sweep"}, {"--ungrouped"}));
   EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("in-process reference path"), std::string::npos)
+  EXPECT_NE(r.err.find("unknown option: --ungrouped"), std::string::npos)
       << r.err;
-
-  // The service has no ungrouped mode at all.
-  const CliResult serve = run({"serve", "--ungrouped"});
-  EXPECT_EQ(serve.code, 1);
-  EXPECT_NE(serve.err.find("unknown option: --ungrouped"), std::string::npos)
-      << serve.err;
 }
 
 TEST_F(CliTest, SweepRejectsBogusBackendSpecs) {

@@ -130,7 +130,10 @@ TEST(Runner, InstanceEmitsAllSeries) {
   InstanceOptions options;
   options.epsilon = 2;
   options.extra_crash_counts = {1};
-  const SeriesSample sample = evaluate_instance(*w, rng, options);
+  const InstanceSchedules schedules = build_instance_schedules(*w, options);
+  const CellDraw draw =
+      draw_instance_cell(schedules, rng, CrashTimeLaw{}, FailureModel{});
+  const SeriesSample sample = simulate_drawn_cell(schedules, draw, nullptr);
   for (const char* name :
        {"FTSA-LowerBound", "FTSA-UpperBound", "MC-FTSA-LowerBound",
         "MC-FTSA-UpperBound", "FTBAR-LowerBound", "FTBAR-UpperBound",

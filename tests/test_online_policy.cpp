@@ -4,8 +4,8 @@
 // repairs, the sweep's static replay is exactly the `none` run and
 // ≤ ε repaired outages never fail; an
 // empty scenario makes *every* registered policy reproduce the static run;
-// the policy sweep axis is deterministic across thread counts and the
-// grouped/ungrouped paths; the shard protocol round-trips the new policy
+// the policy sweep axis is deterministic across thread counts and matches
+// the per-coordinate reference; the shard protocol round-trips the new policy
 // field and still reads pre-policy shards (no "policies" header field, no
 // "pol" record field) as an implicit `none` column.
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/util/error.hpp"
 #include "ftsched/workload/paper_workload.hpp"
+#include "per_coordinate.hpp"
 #include "proptest.hpp"
 
 namespace ftsched {
@@ -284,7 +285,8 @@ TEST(OnlinePolicy, NoneColumnOfMultiPolicyGridMatchesSinglePolicyPlan) {
          c.gran) *
             kReps +
         c.rep;
-    EXPECT_EQ(plan.evaluate(c), base.evaluate(base.coord(base_id)))
+    EXPECT_EQ(reference::evaluate_alone(plan, k),
+              reference::evaluate_alone(base, base_id))
         << "none column diverged from the legacy plan at id " << c.id;
   }
 }
@@ -293,41 +295,26 @@ TEST(OnlinePolicy, BitIdenticalAcrossThreadCountsAndGrouping) {
   FigureConfig config = policy_grid_config();
   config.threads = 1;
   const SweepPlan serial_plan(config);
-  OnlineStatsSink reference_sink(serial_plan);
-  run_plan(serial_plan, reference_sink, RunPlanOptions{.group = false});
-  const SweepResult reference = reference_sink.take();
+  const SweepResult reference = reference::per_coordinate_result(serial_plan);
   EXPECT_EQ(reference.policies, serial_plan.policies());
 
   for (const std::size_t threads : {1u, 2u, 3u}) {
-    for (const bool group : {false, true}) {
-      config.threads = threads;
-      const SweepPlan plan(config);
-      OnlineStatsSink sink(plan);
-      run_plan(plan, sink, RunPlanOptions{.group = group});
-      EXPECT_TRUE(sweep_results_identical(reference, sink.take()))
-          << "threads=" << threads << " group=" << group;
-    }
+    config.threads = threads;
+    const SweepPlan plan(config);
+    OnlineStatsSink sink(plan);
+    run_plan(plan, sink);
+    EXPECT_TRUE(sweep_results_identical(reference, sink.take()))
+        << "threads=" << threads;
   }
-}
-
-/// The sink-visible outcome of a run as the JSONL shard stream.
-std::string shard_bytes(const SweepPlan& plan, const RunPlanOptions& options) {
-  std::stringstream out;
-  ShardWriterSink sink(out, plan);
-  run_plan(plan, sink, options);
-  return out.str();
 }
 
 TEST(OnlinePolicy, ShardMergeRoundTripsThePolicyAxis) {
   const SweepPlan plan(policy_grid_config());
-  OnlineStatsSink full_sink(plan);
-  run_plan(plan, full_sink, RunPlanOptions{.group = false});
-  const SweepResult reference = full_sink.take();
+  const SweepResult reference = reference::per_coordinate_result(plan);
 
   std::vector<ShardFile> shards;
   for (std::size_t i = 0; i < 3; ++i) {
-    std::stringstream file(
-        shard_bytes(plan.shard(i, 3), RunPlanOptions{.group = true}));
+    std::stringstream file(shard_bytes(plan.shard(i, 3)));
     shards.push_back(read_shard(file, "p" + std::to_string(i)));
   }
   const SweepResult merged = merge_shards(shards);
@@ -339,7 +326,7 @@ TEST(OnlinePolicy, ShardHeaderWithoutThePolicyAxisIsRejected) {
   // Every shard header names its policy cells; a header without them is
   // not read as an implicit `none` column, it is refused, naming the file.
   const SweepPlan plan(policy_grid_config());
-  std::string text = shard_bytes(plan, RunPlanOptions{.group = true});
+  std::string text = shard_bytes(plan);
   const std::size_t at = text.find(",\"policies\":\"");
   ASSERT_NE(at, std::string::npos);
   text.erase(at, text.find('"', text.find(":\"", at) + 2) + 1 - at);

@@ -359,7 +359,10 @@ TEST(EvaluateInstance, CustomAlgoListViaRegistry) {
   heft.spec = "heft";
   options.algos = {heft};
   Rng rng(1);
-  const SeriesSample sample = evaluate_instance(*w, rng, options);
+  const InstanceSchedules schedules = build_instance_schedules(*w, options);
+  const CellDraw draw =
+      draw_instance_cell(schedules, rng, CrashTimeLaw{}, FailureModel{});
+  const SeriesSample sample = simulate_drawn_cell(schedules, draw, nullptr);
   EXPECT_TRUE(sample.count("HEFT-LowerBound"));
   EXPECT_TRUE(sample.count("Msg-HEFT"));
   EXPECT_TRUE(sample.count("FaultFree-FTSA"));
@@ -405,7 +408,10 @@ TEST(RandomScheduler, SweepableViaInstanceAlgoList) {
   random.crash_counts = {1};
   options.algos = {random};
   Rng rng(1);
-  const SeriesSample sample = evaluate_instance(*w, rng, options);
+  const InstanceSchedules schedules = build_instance_schedules(*w, options);
+  const CellDraw draw =
+      draw_instance_cell(schedules, rng, CrashTimeLaw{}, FailureModel{});
+  const SeriesSample sample = simulate_drawn_cell(schedules, draw, nullptr);
   EXPECT_TRUE(sample.count("RANDOM-LowerBound"));
   EXPECT_TRUE(sample.count("RANDOM-1Crash"));
   EXPECT_TRUE(sample.count("Msg-RANDOM"));

@@ -14,6 +14,7 @@
 #include "ftsched/experiments/sweep_io.hpp"
 #include "ftsched/experiments/sweep_plan.hpp"
 #include "ftsched/util/error.hpp"
+#include "per_coordinate.hpp"
 #include "proptest.hpp"
 
 namespace ftsched {
@@ -119,9 +120,10 @@ TEST(SweepPlan, EvaluateDependsOnlyOnCoordinates) {
   const SweepPlan shard = plan.shard(1, 3);
   // The same instance evaluated through the full plan and through a shard
   // yields the same sample map, double for double.
+  // (Full-plan selected indices are ids.)
   const InstanceCoord c = shard.coord(0);
-  const SeriesSample a = plan.evaluate(plan.coord_of_id(c.id));
-  const SeriesSample b = shard.evaluate(c);
+  const SeriesSample a = reference::evaluate_alone(plan, c.id);
+  const SeriesSample b = reference::evaluate_alone(shard, 0);
   EXPECT_EQ(a, b);
 }
 

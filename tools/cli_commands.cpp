@@ -522,19 +522,12 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   cli.add_option("out", "",
                  "write the CSV (or shard file) to this file (stdout when "
                  "empty)");
-  cli.add_flag("ungrouped",
-               "evaluate per coordinate (the in-process reference path: "
-               "every cell reruns all scheduler passes; inproc backend only) "
-               "instead of scheduling once per (workload, granularity, rep) "
-               "group; output is bit-identical either way");
   std::vector<const char*> argv{"sweep"};
   for (const auto& a : args) argv.push_back(a.c_str());
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) return 0;
 
   const FigureConfig config = sweep_config_from_cli(cli);
   const SweepBackendPtr backend = backend_from_cli(cli);
-  RunPlanOptions run_options;
-  run_options.group = !cli.get_flag("ungrouped");
 
   if (!cli.get("shard").empty()) {
     const SweepPlan plan =
@@ -543,12 +536,12 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
     if (path.empty()) {
       // The shard alone on stdout, so it can be piped.
       ShardWriterSink sink(out, plan);
-      backend->run(plan, sink, run_options);
+      backend->run(plan, sink);
     } else {
       std::ofstream file(path);
       FTSCHED_REQUIRE(file.good(), "cannot open output file: " + path);
       ShardWriterSink sink(file, plan);
-      backend->run(plan, sink, run_options);
+      backend->run(plan, sink);
       finish_output_file(file, path);
       out << "=== sweep shard " << plan.shard_label() << " (" << plan.size()
           << " of " << plan.grid_size() << " instances) -> " << path
@@ -559,7 +552,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
 
   const SweepPlan plan(config);
   OnlineStatsSink sink(plan);
-  backend->run(plan, sink, run_options);
+  backend->run(plan, sink);
   const SweepResult sweep = sink.take();
   out << "=== sweep (epsilon=" << config.epsilon << ", m=" << config.proc_count
       << ", graphs/point=" << config.graphs_per_point << ", seed="
