@@ -10,13 +10,17 @@
 // "pol" record field) as an implicit `none` column.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ftsched/core/ftbar.hpp"
 #include "ftsched/core/ftsa.hpp"
 #include "ftsched/core/mc_ftsa.hpp"
 #include "ftsched/core/reschedule.hpp"
@@ -26,6 +30,7 @@
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/util/error.hpp"
+#include "ftsched/workload/classic.hpp"
 #include "ftsched/workload/paper_workload.hpp"
 #include "per_coordinate.hpp"
 #include "proptest.hpp"
@@ -216,6 +221,124 @@ TEST(OnlinePolicy, AtMostEpsilonRepairedOutagesNeverFail) {
         }
       },
       {.iterations = 40});
+}
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+class Fnv1a {
+ public:
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (w >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void bits(double x) { word(std::bit_cast<std::uint64_t>(x)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Folds everything a run reports: its summary, then every replica's
+/// outcome and the message count of result().
+void fold_run(Fnv1a& h, const ScheduleSimulator::Summary& summary,
+              const SimulationResult& result) {
+  h.word(summary.success ? 1 : 0);
+  h.bits(summary.latency);
+  h.word(summary.moves);
+  h.word(summary.repairs);
+  for (const std::vector<ReplicaOutcome>& task : result.outcomes) {
+    for (const ReplicaOutcome& o : task) {
+      h.word(static_cast<std::uint64_t>(o.status));
+      h.bits(o.start);
+      h.bits(o.finish);
+    }
+  }
+  h.word(result.messages_delivered);
+}
+
+TEST(OnlinePolicy, OutcomesMatchPinnedDigest) {
+  // Every policy's per-replica outcomes, pinned bit for bit: seeded
+  // figure-1 instances (m = 20) plus a uniform-cost fork-join whose
+  // branches all share one bottom level (so distinct tasks tie in the
+  // greedy pass's priority order), each scheduled by FTSA, MC-FTSA and
+  // FTBAR, replayed under a repair draw and a permanent-crash draw on
+  // contention-free and one-port links.  An optimisation of the online
+  // path must leave the digest unchanged; a deliberate behaviour change
+  // re-pins it.
+  struct Instance {
+    std::unique_ptr<Workload> workload;
+    std::size_t eps;
+  };
+  std::vector<Instance> instances;
+  for (const auto& [seed, eps] :
+       {std::pair<std::uint64_t, std::size_t>{101, 1}, {202, 1}, {303, 2}}) {
+    Rng rng(seed);
+    instances.push_back({make_paper_workload(rng, PaperWorkloadParams{}), eps});
+  }
+  {
+    constexpr std::size_t kProcs = 20;
+    TaskGraph g = make_fork_join(40, ClassicParams{2.0});
+    std::vector<std::vector<double>> exec(
+        g.task_count(), std::vector<double>(kProcs, 10.0));
+    instances.push_back({std::make_unique<Workload>(
+                             std::move(g), Platform(kProcs, 1.0),
+                             std::move(exec)),
+                         1});
+  }
+
+  const std::vector<SimulationOptions> links = {
+      SimulationOptions{},
+      SimulationOptions{CommModelOptions{CommModelKind::kOnePort}}};
+  std::vector<ReschedulePolicyPtr> policies;
+  for (const char* spec : {"none", "requeue-heft", "reactive-ftsa"}) {
+    policies.push_back(make_reschedule_policy(spec));
+  }
+  const CrashTimeLaw law = CrashTimeLaw::parse("uniform:hi=1");
+  const std::vector<FailureModel> models = {
+      FailureModel::parse("repair:p=0.3,mttr=0.5"),
+      FailureModel::parse("bernoulli:p=0.2")};
+
+  Fnv1a digest;
+  std::size_t runs = 0, moves = 0, repairs = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const CostModel& costs = instances[i].workload->costs();
+    const std::size_t eps = instances[i].eps;
+    const std::size_t procs = costs.platform().proc_count();
+    std::vector<ReplicatedSchedule> schedules;
+    schedules.push_back(ftsa_schedule(costs, FtsaOptions{eps, 0}));
+    schedules.push_back(mc_ftsa_schedule(costs, McFtsaOptions{eps, 0}));
+    schedules.push_back(ftbar_schedule(costs, FtbarOptions{eps, 0}));
+    Rng draw_rng(1000 + i);
+    std::vector<CellDraw> draws;
+    for (const FailureModel& model : models) {
+      draws.push_back(draw_cell(draw_rng, procs, eps, law, model));
+    }
+    for (const ReplicatedSchedule& s : schedules) {
+      for (const SimulationOptions& link : links) {
+        ScheduleSimulator sim(s, link);
+        for (const ReschedulePolicyPtr& policy : policies) {
+          policy->prepare(s);
+          for (const CellDraw& draw : draws) {
+            const FailureScenario scenario =
+                draw.scenario(s.lower_bound(), draw.victims.size());
+            const ScheduleSimulator::Summary summary =
+                sim.run_summary(scenario, policy.get());
+            fold_run(digest, summary, sim.result());
+            ++runs;
+            moves += summary.moves;
+            repairs += summary.repairs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 4u * 3u * 2u * 3u * 2u);
+  // Otherwise the digest could pin runs in which no policy ever acted.
+  EXPECT_GT(moves, 0u);
+  EXPECT_GT(repairs, 0u);
+  EXPECT_EQ(digest.value(), 0xb883479818bae6bbull)
+      << "online outcome digest: 0x" << std::hex << digest.value();
 }
 
 /// 2 workloads x 2 scenarios x 2 failure models x 3 policies x 2
