@@ -37,6 +37,11 @@ void sort_by_priority(std::vector<PendingReplica>& pending) {
 /// `avail` carries the survivors' backlogs and is advanced per placement so
 /// later replicas see earlier ones — the incremental state policies reuse
 /// instead of rebuilding per event.
+///
+/// The pass relies on sort_by_priority's order keeping a task's replicas
+/// adjacent: the priority is per task and ties go to the lower task id, so
+/// once the pass moves on to another task it never returns.  `taken_`
+/// therefore holds only the current task's placements (at most ε + 1).
 class GreedyPass {
  public:
   GreedyPass(const OnlineView& view, const CostModel& costs, double now)
@@ -50,6 +55,10 @@ class GreedyPass {
 
   void place(const PendingReplica& r, std::vector<ReplicaMove>& moves) {
     const TaskId t = r.task;
+    if (t != task_) {
+      task_ = t;
+      taken_.clear();
+    }
     const std::size_t current = view_.proc_of(t, r.replica);
     const auto exec = [&](std::size_t p) {
       return costs_.exec(t, ProcId{p});
@@ -58,7 +67,7 @@ class GreedyPass {
     // Strict pass: live targets not already hosting a replica of t (the
     // replica's own current host stays eligible — "stay put" is a choice).
     auto strict = [&](std::size_t p) {
-      if (!view_.alive(p) || taken(t, p)) return false;
+      if (!view_.alive(p) || taken(p)) return false;
       return p == current || !view_.hosts_live_replica(t, p);
     };
     double finish = 0.0;
@@ -72,24 +81,23 @@ class GreedyPass {
     }
     if (chosen == avail_.size()) return;  // no live processor: nothing to do
     avail_.commit(chosen, finish);
-    taken_.emplace_back(t, chosen);
+    taken_.push_back(chosen);
     if (chosen == current) return;  // staying put is not a move
     moves.push_back(ReplicaMove{t, r.replica, ProcId{chosen}, exec(chosen)});
   }
 
  private:
-  [[nodiscard]] bool taken(TaskId t, std::size_t p) const {
-    for (const auto& [tt, pp] : taken_) {
-      if (tt == t && pp == p) return true;
-    }
-    return false;
+  /// True iff this pass already placed a replica of the current task on p.
+  [[nodiscard]] bool taken(std::size_t p) const {
+    return std::find(taken_.begin(), taken_.end(), p) != taken_.end();
   }
 
   const OnlineView& view_;
   const CostModel& costs_;
   double now_;
   ProcReadyState avail_;
-  std::vector<std::pair<TaskId, std::size_t>> taken_;
+  TaskId task_;                     ///< the task taken_ belongs to
+  std::vector<std::size_t> taken_;  ///< its processors placed so far
 };
 
 class NonePolicy final : public ReschedulePolicy {

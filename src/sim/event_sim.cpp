@@ -285,6 +285,7 @@ class ScheduleSimulator::Impl {
     const std::size_t m = platform_.proc_count();
     unsatisfied_ = unsatisfied0_;
     satisfied_.assign(live_sources0_.size(), 0);
+    earliest_.assign(live_sources0_.size(), kInf);
     live_sources_ = live_sources0_;
     cur_proc_ = proc_of_;
     cur_duration_ = duration_;
@@ -397,7 +398,7 @@ class ScheduleSimulator::Impl {
       const OutChannel& ch = out_[i];
       const std::size_t dp = cur_proc_[ch.dst];
       if (p == dp) {
-        push(Event{now, seq_++, ch.dst, ch.slot, EventType::kMessage});
+        queue_message(ch, now);
         continue;
       }
       // Until a policy moves a replica, every channel joins its scheduled
@@ -411,9 +412,19 @@ class ScheduleSimulator::Impl {
       const double arrival =
           contention_free_ ? now + d : comm_->deliver(ProcId{p}, now, d);
       ++messages_delivered_;
-      push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
+      queue_message(ch, arrival);
     }
     try_start(p, now);
+  }
+
+  /// Queues a message only if it can win its in-slot: on_message acts on
+  /// the first arrival alone.  A queued message with an earlier time, or
+  /// the same time and a lower seq, pops first, so skipping a later one
+  /// leaves the sequence of events that do something unchanged.
+  void queue_message(const OutChannel& ch, double arrival) {
+    if (arrival >= earliest_[ch.slot]) return;
+    earliest_[ch.slot] = arrival;
+    push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
   }
 
   void on_message(std::uint32_t dst, std::uint32_t slot, double now) {
@@ -815,6 +826,7 @@ class ScheduleSimulator::Impl {
   std::vector<double> actual_finish_;
   std::vector<std::uint32_t> unsatisfied_;   ///< copied from unsatisfied0_
   std::vector<std::uint8_t> satisfied_;      ///< slot arena, zero-filled
+  std::vector<double> earliest_;  ///< slot arena: earliest queued arrival
   std::vector<std::uint32_t> live_sources_;  ///< copied from live_sources0_
   std::vector<std::uint32_t> cur_proc_;      ///< copied from proc_of_
   std::vector<double> cur_duration_;         ///< copied from duration_
