@@ -112,10 +112,8 @@ class SweepPlan {
   /// Instances in the full grid (W × S × F × L × P × R).
   [[nodiscard]] std::uint64_t grid_size() const noexcept;
   /// Instances selected by this plan (== grid_size() before sharding).
-  [[nodiscard]] std::size_t size() const noexcept { return selected_.size(); }
-  [[nodiscard]] bool complete() const noexcept {
-    return selected_.size() == grid_size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool complete() const noexcept { return count_ == grid_size(); }
   /// "full", or the "i/n" shard chain ("0/3" / "0/3,1/2" when nested).
   [[nodiscard]] const std::string& shard_label() const noexcept {
     return shard_label_;
@@ -203,7 +201,12 @@ class SweepPlan {
   std::vector<std::string> policy_labels_;
   std::vector<bool> policy_noop_;  ///< per policy label: is_noop()
   Rng root_;
-  std::vector<std::uint64_t> selected_;  ///< sorted full-grid ids
+  // The selection: full-grid ids first_ + k * stride_ for k < count_.
+  // Every plan starts as (0, 1, grid_size()) and shard() maps a strided
+  // selection to a strided selection, so no id list is ever built.
+  std::uint64_t first_ = 0;
+  std::uint64_t stride_ = 1;
+  std::size_t count_ = 0;
   std::string shard_label_ = "full";
 };
 

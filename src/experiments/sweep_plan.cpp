@@ -78,9 +78,7 @@ SweepPlan::SweepPlan(const FigureConfig& config)
   scenario_labels_ = scenario_specs;
   failure_labels_ = failure_specs;
   policy_labels_ = policy_specs;
-
-  selected_.reserve(grid_size());
-  for (std::uint64_t id = 0; id < grid_size(); ++id) selected_.push_back(id);
+  count_ = static_cast<std::size_t>(grid_size());
 }
 
 std::uint64_t SweepPlan::grid_size() const noexcept {
@@ -89,8 +87,8 @@ std::uint64_t SweepPlan::grid_size() const noexcept {
 }
 
 InstanceCoord SweepPlan::coord(std::size_t k) const {
-  FTSCHED_REQUIRE(k < selected_.size(), "instance index out of range");
-  return coord_of_id(selected_[k]);
+  FTSCHED_REQUIRE(k < count_, "instance index out of range");
+  return coord_of_id(first_ + k * stride_);
 }
 
 InstanceCoord SweepPlan::coord_of_id(std::uint64_t id) const {
@@ -119,11 +117,13 @@ SweepPlan SweepPlan::shard(std::size_t index, std::size_t count) const {
   FTSCHED_REQUIRE(index < count, "shard index " + std::to_string(index) +
                                      " out of range for " +
                                      std::to_string(count) + " shards");
+  // Selected instances index, index + count, ...: ids first_ + index *
+  // stride_ on a stride of stride_ * count.  A selection of at most one id
+  // keeps stride 1, so deep chains of wide shards never overflow it.
   SweepPlan out = *this;
-  out.selected_.clear();
-  for (std::size_t k = index; k < selected_.size(); k += count) {
-    out.selected_.push_back(selected_[k]);
-  }
+  out.count_ = index < count_ ? (count_ - index - 1) / count + 1 : 0;
+  out.first_ = out.count_ == 0 ? 0 : first_ + index * stride_;
+  out.stride_ = out.count_ <= 1 ? 1 : stride_ * count;
   const std::string step =
       std::to_string(index) + "/" + std::to_string(count);
   out.shard_label_ = shard_label_ == "full" ? step : shard_label_ + "," + step;
@@ -161,9 +161,9 @@ const SweepPlan::Cell& SweepPlan::cell(const InstanceCoord& coord) const {
 std::vector<std::vector<std::size_t>> SweepPlan::group_selection() const {
   std::vector<std::vector<std::size_t>> groups;
   std::unordered_map<std::uint64_t, std::size_t> group_of_key;
-  group_of_key.reserve(selected_.size());
-  for (std::size_t k = 0; k < selected_.size(); ++k) {
-    const std::uint64_t key = base_key(coord_of_id(selected_[k]));
+  group_of_key.reserve(count_);
+  for (std::size_t k = 0; k < count_; ++k) {
+    const std::uint64_t key = base_key(coord(k));
     const auto [it, fresh] = group_of_key.try_emplace(key, groups.size());
     if (fresh) groups.emplace_back();
     groups[it->second].push_back(k);

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftsched/experiments/sweep_io.hpp"
@@ -113,6 +115,43 @@ TEST(SweepPlan, ShardsPartitionTheSelection) {
   }
   EXPECT_THROW((void)plan.shard(3, 3), InvalidArgument);
   EXPECT_THROW((void)plan.shard(0, 0), InvalidArgument);
+}
+
+TEST(SweepPlan, NestedShardChainsMatchBruteForceIdLists) {
+  // The selection is kept as a stride; the reference here is the explicit
+  // id list, narrowed by "every count-th entry from index" per step.
+  proptest::check(
+      "shard chains of depth <= 3: size, complete and every id",
+      [](Rng& rng, std::uint64_t) {
+        FigureConfig config = cross_config();
+        config.graphs_per_point =
+            static_cast<std::size_t>(rng.uniform_int(1, 3));
+        SweepPlan plan(config);
+        std::vector<std::uint64_t> ids(plan.grid_size());
+        for (std::uint64_t id = 0; id < ids.size(); ++id) ids[id] = id;
+        const auto depth = rng.uniform_int(1, 3);
+        for (std::int64_t d = 0; d < depth; ++d) {
+          // Counts up to 7 overshoot a deep shard's size.
+          const auto count = static_cast<std::size_t>(rng.uniform_int(1, 7));
+          const auto index =
+              static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(count) - 1));
+          plan = plan.shard(index, count);
+          std::vector<std::uint64_t> narrowed;
+          for (std::size_t k = index; k < ids.size(); k += count) {
+            narrowed.push_back(ids[k]);
+          }
+          ids = std::move(narrowed);
+          ASSERT_EQ(plan.size(), ids.size()) << plan.shard_label();
+          EXPECT_EQ(plan.complete(), ids.size() == plan.grid_size());
+          for (std::size_t k = 0; k < ids.size(); ++k) {
+            EXPECT_EQ(plan.coord(k).id, ids[k])
+                << plan.shard_label() << " k=" << k;
+          }
+          EXPECT_THROW((void)plan.coord(ids.size()), InvalidArgument);
+        }
+      },
+      {.iterations = 40});
 }
 
 TEST(SweepPlan, EvaluateDependsOnlyOnCoordinates) {
