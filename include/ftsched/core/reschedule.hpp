@@ -58,7 +58,8 @@ class OnlineView {
   /// Finish time of the replica running on `p`, or 0 when idle; policies
   /// max() this with the event time to get the processor's availability.
   [[nodiscard]] virtual double backlog(std::size_t p) const = 0;
-  /// Appends `p`'s pending replicas in queue order.
+  /// Appends `p`'s pending replicas, each pending replica once: its
+  /// static queue from the scan position, then the replicas moved onto it.
   virtual void pending_on(
       std::size_t p,
       std::vector<std::pair<TaskId, std::size_t>>& out) const = 0;

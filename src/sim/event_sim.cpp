@@ -634,13 +634,18 @@ class ScheduleSimulator::Impl {
     void pending_on(
         std::size_t p,
         std::vector<std::pair<TaskId, std::size_t>>& out) const override {
+      // A replica moved away and back before the queue scan passed it is
+      // both in the queue and in the pool, and one moved away and back
+      // twice before the pool was pruned is in the pool twice: the listing
+      // stamp keeps its first entry only.
+      const std::uint32_t listing = impl_.next_listing();
       const std::size_t end = impl_.queue_offset_[p + 1];
       for (std::size_t i = impl_.head_[p]; i < end; ++i) {
-        append_if_pending(p, impl_.queue_[i], out);
+        append_if_pending(p, impl_.queue_[i], listing, out);
       }
       // Replicas moved *onto* p live in the fill-in pool, not the queue.
       for (const std::uint32_t flat : impl_.moved_pool_[p]) {
-        append_if_pending(p, flat, out);
+        append_if_pending(p, flat, listing, out);
       }
     }
     [[nodiscard]] bool hosts_live_replica(TaskId t,
@@ -659,10 +664,12 @@ class ScheduleSimulator::Impl {
 
    private:
     void append_if_pending(
-        std::size_t p, std::uint32_t flat,
+        std::size_t p, std::uint32_t flat, std::uint32_t listing,
         std::vector<std::pair<TaskId, std::size_t>>& out) const {
       if (impl_.cur_proc_[flat] != p) return;  // moved away
       if (impl_.state_[flat] != State::kPending) return;
+      if (impl_.listed_[flat] == listing) return;  // already listed
+      impl_.listed_[flat] = listing;
       const std::uint32_t t = impl_.task_of_[flat];
       out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
     }
@@ -674,10 +681,20 @@ class ScheduleSimulator::Impl {
   /// moves it emits.
   void consult(OnlineEvent::Kind kind, std::size_t p, double now) {
     if (policy_ == nullptr) return;
+    listed_.resize(proc_of_.size());  // sized by the first consulted run
     moves_scratch_.clear();
     const ViewAdapter view(*this);
     policy_->on_event(view, OnlineEvent{kind, p, now}, moves_scratch_);
     apply_moves(now);
+  }
+
+  /// A stamp no replica carries yet, for one pending_on listing.
+  std::uint32_t next_listing() const {
+    if (++listing_ == 0) {  // wrapped: forget every stamp
+      std::fill(listed_.begin(), listed_.end(), 0);
+      listing_ = 1;
+    }
+    return listing_;
   }
 
   /// Applies the policy's moves in emitted order, then wakes the affected
@@ -853,6 +870,10 @@ class ScheduleSimulator::Impl {
   std::size_t repairs_applied_ = 0;
   ReschedulePolicy* policy_ = nullptr;  ///< live policy of the current run
   std::vector<ReplicaMove> moves_scratch_;
+  // Per replica, the pending_on listing that last appended it.  The stamp
+  // only grows, across runs too, so nothing is reset between listings.
+  mutable std::vector<std::uint32_t> listed_;
+  mutable std::uint32_t listing_ = 0;
 };
 
 ScheduleSimulator::ScheduleSimulator(const ReplicatedSchedule& schedule,

@@ -10,11 +10,13 @@
 // "pol" record field) as an implicit `none` column.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -257,36 +259,50 @@ void fold_run(Fnv1a& h, const ScheduleSimulator::Summary& summary,
   h.word(result.messages_delivered);
 }
 
-TEST(OnlinePolicy, OutcomesMatchPinnedDigest) {
-  // Every policy's per-replica outcomes, pinned bit for bit: seeded
-  // figure-1 instances (m = 20) plus a uniform-cost fork-join whose
-  // branches all share one bottom level (so distinct tasks tie in the
-  // greedy pass's priority order), each scheduled by FTSA, MC-FTSA and
-  // FTBAR, replayed under a repair draw and a permanent-crash draw on
-  // contention-free and one-port links.  An optimisation of the online
-  // path must leave the digest unchanged; a deliberate behaviour change
-  // re-pins it.
-  struct Instance {
-    std::unique_ptr<Workload> workload;
-    std::size_t eps;
-  };
+/// A workload with the ε its schedules tolerate.
+struct Instance {
+  std::unique_ptr<Workload> workload;
+  std::size_t eps;
+};
+
+/// Seeded figure-1 instances (m = 20; ε = 1, 1, 2) plus a uniform-cost
+/// fork-join whose branches all share one bottom level, so distinct tasks
+/// tie in the greedy pass's priority order.
+std::vector<Instance> online_instances() {
   std::vector<Instance> instances;
   for (const auto& [seed, eps] :
        {std::pair<std::uint64_t, std::size_t>{101, 1}, {202, 1}, {303, 2}}) {
     Rng rng(seed);
     instances.push_back({make_paper_workload(rng, PaperWorkloadParams{}), eps});
   }
-  {
-    constexpr std::size_t kProcs = 20;
-    TaskGraph g = make_fork_join(40, ClassicParams{2.0});
-    std::vector<std::vector<double>> exec(
-        g.task_count(), std::vector<double>(kProcs, 10.0));
-    instances.push_back({std::make_unique<Workload>(
-                             std::move(g), Platform(kProcs, 1.0),
-                             std::move(exec)),
-                         1});
-  }
+  constexpr std::size_t kProcs = 20;
+  TaskGraph g = make_fork_join(40, ClassicParams{2.0});
+  std::vector<std::vector<double>> exec(g.task_count(),
+                                        std::vector<double>(kProcs, 10.0));
+  instances.push_back({std::make_unique<Workload>(
+                           std::move(g), Platform(kProcs, 1.0), std::move(exec)),
+                       1});
+  return instances;
+}
 
+/// The instance's FTSA, MC-FTSA and FTBAR schedules.
+std::vector<ReplicatedSchedule> online_schedules(const Instance& instance) {
+  const CostModel& costs = instance.workload->costs();
+  std::vector<ReplicatedSchedule> schedules;
+  schedules.push_back(ftsa_schedule(costs, FtsaOptions{instance.eps, 0}));
+  schedules.push_back(mc_ftsa_schedule(costs, McFtsaOptions{instance.eps, 0}));
+  schedules.push_back(ftbar_schedule(costs, FtbarOptions{instance.eps, 0}));
+  return schedules;
+}
+
+TEST(OnlinePolicy, OutcomesMatchPinnedDigest) {
+  // Every policy's per-replica outcomes, pinned bit for bit: the
+  // online_instances(), each scheduled by FTSA, MC-FTSA and FTBAR,
+  // replayed under a repair draw and a permanent-crash draw on
+  // contention-free and one-port links.  An optimisation of the online
+  // path must leave the digest unchanged; a deliberate behaviour change
+  // re-pins it.
+  const std::vector<Instance> instances = online_instances();
   const std::vector<SimulationOptions> links = {
       SimulationOptions{},
       SimulationOptions{CommModelOptions{CommModelKind::kOnePort}}};
@@ -302,19 +318,15 @@ TEST(OnlinePolicy, OutcomesMatchPinnedDigest) {
   Fnv1a digest;
   std::size_t runs = 0, moves = 0, repairs = 0;
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const CostModel& costs = instances[i].workload->costs();
-    const std::size_t eps = instances[i].eps;
-    const std::size_t procs = costs.platform().proc_count();
-    std::vector<ReplicatedSchedule> schedules;
-    schedules.push_back(ftsa_schedule(costs, FtsaOptions{eps, 0}));
-    schedules.push_back(mc_ftsa_schedule(costs, McFtsaOptions{eps, 0}));
-    schedules.push_back(ftbar_schedule(costs, FtbarOptions{eps, 0}));
+    const std::size_t procs =
+        instances[i].workload->platform().proc_count();
     Rng draw_rng(1000 + i);
     std::vector<CellDraw> draws;
     for (const FailureModel& model : models) {
-      draws.push_back(draw_cell(draw_rng, procs, eps, law, model));
+      draws.push_back(
+          draw_cell(draw_rng, procs, instances[i].eps, law, model));
     }
-    for (const ReplicatedSchedule& s : schedules) {
+    for (const ReplicatedSchedule& s : online_schedules(instances[i])) {
       for (const SimulationOptions& link : links) {
         ScheduleSimulator sim(s, link);
         for (const ReschedulePolicyPtr& policy : policies) {
@@ -337,8 +349,159 @@ TEST(OnlinePolicy, OutcomesMatchPinnedDigest) {
   // Otherwise the digest could pin runs in which no policy ever acted.
   EXPECT_GT(moves, 0u);
   EXPECT_GT(repairs, 0u);
-  EXPECT_EQ(digest.value(), 0xb883479818bae6bbull)
+  EXPECT_EQ(digest.value(), 0x4157514072d493e6ull)
       << "online outcome digest: 0x" << std::hex << digest.value();
+}
+
+/// The (task, replica) pairs `view` lists over every processor, in
+/// processor then listing order.
+std::vector<std::pair<TaskId, std::size_t>> all_pending(
+    const OnlineView& view) {
+  std::vector<std::pair<TaskId, std::size_t>> listed;
+  for (std::size_t p = 0; p < view.proc_count(); ++p) {
+    view.pending_on(p, listed);
+  }
+  return listed;
+}
+
+/// How many entries of `pairs` repeat an earlier one.
+std::size_t repeats(const std::vector<std::pair<TaskId, std::size_t>>& pairs) {
+  std::set<std::pair<TaskId, std::size_t>> seen;
+  std::size_t repeated = 0;
+  for (const auto& pair : pairs) repeated += seen.insert(pair).second ? 0 : 1;
+  return repeated;
+}
+
+/// Wraps a policy and counts, at every decision point, the pending_on
+/// entries that list a replica again and the moves that move one again.
+class CheckedPolicy final : public ReschedulePolicy {
+ public:
+  explicit CheckedPolicy(ReschedulePolicyPtr inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string spec() const override { return inner_->spec(); }
+  void prepare(const ReplicatedSchedule& s) override { inner_->prepare(s); }
+  void begin_run() override { inner_->begin_run(); }
+  void on_event(const OnlineView& view, const OnlineEvent& event,
+                std::vector<ReplicaMove>& moves) override {
+    repeated_entries += repeats(all_pending(view));
+    const std::size_t first = moves.size();
+    inner_->on_event(view, event, moves);
+    std::vector<std::pair<TaskId, std::size_t>> moved;
+    for (std::size_t i = first; i < moves.size(); ++i) {
+      moved.emplace_back(moves[i].task, moves[i].replica);
+    }
+    repeated_moves += repeats(moved);
+    ++events;
+  }
+
+  std::size_t events = 0;
+  std::size_t repeated_entries = 0;
+  std::size_t repeated_moves = 0;
+
+ private:
+  ReschedulePolicyPtr inner_;
+};
+
+/// Moves one pending replica X from processor 0 to processor 1 and back,
+/// twice, then stops; records at every event how many entries name X.
+class AwayAndBackPolicy final : public ReschedulePolicy {
+ public:
+  [[nodiscard]] std::string spec() const override { return "away-and-back"; }
+  void on_event(const OnlineView& view, const OnlineEvent&,
+                std::vector<ReplicaMove>& moves) override {
+    const auto listed = all_pending(view);
+    if (events_ == 0) {
+      // The last of processor 0's pending replicas: its queue head is
+      // running or blocked, so the queue scan has not passed X.
+      std::vector<std::pair<TaskId, std::size_t>> on_home;
+      view.pending_on(0, on_home);
+      ASSERT_GE(on_home.size(), 2u);
+      x_ = on_home.back();
+    } else {
+      x_entries.push_back(static_cast<std::size_t>(
+          std::count(listed.begin(), listed.end(), x_)));
+    }
+    repeated_entries += repeats(listed);
+    if (events_ < 4 && view.pending(x_.first, x_.second)) {
+      moves.push_back(
+          ReplicaMove{x_.first, x_.second, ProcId{events_ % 2 == 0 ? 1 : 0},
+                      10.0});
+    }
+    ++events_;
+  }
+
+  std::vector<std::size_t> x_entries;
+  std::size_t repeated_entries = 0;
+
+ private:
+  std::size_t events_ = 0;
+  std::pair<TaskId, std::size_t> x_;
+};
+
+TEST(OnlinePolicy, PendingOnListsAReplicaMovedAwayAndBackOnce) {
+  // Fork-join on 6 processors: every branch waits for the fork (10 time
+  // units), while processors 3, 4 and 5 crash at 0.1, 0.2 and 0.3 and
+  // return at 0.4, 0.5 and 0.6 — six decision points during which X moves
+  // 0 -> 1 -> 0 -> 1 -> 0.  Moved back, X is both ahead in processor 0's
+  // queue and in its fill-in pool (twice, while processor 0 runs the fork
+  // and never prunes the pool); each listing still names it once.
+  constexpr std::size_t kProcs = 6;
+  TaskGraph g = make_fork_join(12, ClassicParams{1.0});
+  std::vector<std::vector<double>> exec(g.task_count(),
+                                        std::vector<double>(kProcs, 10.0));
+  const Workload w(std::move(g), Platform(kProcs, 1.0), std::move(exec));
+  const ReplicatedSchedule s = ftsa_schedule(w.costs(), FtsaOptions{1, 0});
+  FailureScenario scenario;
+  scenario.add(ProcId{3}, 0.1, 0.4);
+  scenario.add(ProcId{4}, 0.2, 0.5);
+  scenario.add(ProcId{5}, 0.3, 0.6);
+
+  ScheduleSimulator sim(s);
+  AwayAndBackPolicy policy;
+  const ScheduleSimulator::Summary summary = sim.run_summary(scenario, &policy);
+  EXPECT_EQ(summary.moves, 4u);
+  EXPECT_EQ(policy.x_entries,
+            (std::vector<std::size_t>{1, 1, 1, 1, 1}));
+  EXPECT_EQ(policy.repeated_entries, 0u);
+}
+
+TEST(OnlinePolicy, GreedyPoliciesListAndMoveEachReplicaOncePerEvent) {
+  // The online_instances() under repair draws, through both greedy
+  // policies: no decision point sees a replica listed twice, and none
+  // moves a replica twice.
+  const CrashTimeLaw law = CrashTimeLaw::parse("uniform:hi=1");
+  const FailureModel model = FailureModel::parse("repair:p=0.3,mttr=0.5");
+  std::vector<std::unique_ptr<CheckedPolicy>> policies;
+  for (const char* spec : {"requeue-heft", "reactive-ftsa"}) {
+    policies.push_back(
+        std::make_unique<CheckedPolicy>(make_reschedule_policy(spec)));
+  }
+  std::size_t moves = 0;
+  const std::vector<Instance> instances = online_instances();
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const std::size_t procs = instances[i].workload->platform().proc_count();
+    Rng draw_rng(2000 + i);
+    for (const ReplicatedSchedule& s : online_schedules(instances[i])) {
+      ScheduleSimulator sim(s);
+      for (std::size_t d = 0; d < 3; ++d) {
+        const CellDraw draw =
+            draw_cell(draw_rng, procs, instances[i].eps, law, model);
+        const FailureScenario scenario =
+            draw.scenario(s.lower_bound(), draw.victims.size());
+        for (const auto& policy : policies) {
+          policy->prepare(s);
+          moves += sim.run_summary(scenario, policy.get()).moves;
+        }
+      }
+    }
+  }
+  EXPECT_GT(moves, 0u);
+  for (const auto& policy : policies) {
+    EXPECT_GT(policy->events, 0u) << policy->spec();
+    EXPECT_EQ(policy->repeated_entries, 0u) << policy->spec();
+    EXPECT_EQ(policy->repeated_moves, 0u) << policy->spec();
+  }
 }
 
 /// 2 workloads x 2 scenarios x 2 failure models x 3 policies x 2
