@@ -252,6 +252,8 @@ class ScheduleSimulator::Impl {
     state_.assign(total, State::kPending);
     actual_start_.assign(total, 0.0);
     actual_finish_.assign(total, 0.0);
+    // The pending_on listing stamps; never reset (see listed_).
+    listed_.assign(total, 0);
   }
 
   /// The forward pass's static part: the topological order and each
@@ -420,9 +422,12 @@ class ScheduleSimulator::Impl {
   /// Queues a message only if it can win its in-slot: on_message acts on
   /// the first arrival alone.  A queued message with an earlier time, or
   /// the same time and a lower seq, pops first, so skipping a later one
-  /// leaves the sequence of events that do something unchanged.
+  /// leaves the sequence of events that do something unchanged.  An
+  /// infinite arrival is queued while the slot has none queued yet
+  /// (earliest_ is +inf then too): it still pops at +inf and satisfies it.
   void queue_message(const OutChannel& ch, double arrival) {
-    if (arrival >= earliest_[ch.slot]) return;
+    const double earliest = earliest_[ch.slot];
+    if (earliest < kInf && arrival >= earliest) return;
     earliest_[ch.slot] = arrival;
     push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
   }
@@ -638,7 +643,7 @@ class ScheduleSimulator::Impl {
       // both in the queue and in the pool, and one moved away and back
       // twice before the pool was pruned is in the pool twice: the listing
       // stamp keeps its first entry only.
-      const std::uint32_t listing = impl_.next_listing();
+      const std::uint64_t listing = impl_.next_listing();
       const std::size_t end = impl_.queue_offset_[p + 1];
       for (std::size_t i = impl_.head_[p]; i < end; ++i) {
         append_if_pending(p, impl_.queue_[i], listing, out);
@@ -664,7 +669,7 @@ class ScheduleSimulator::Impl {
 
    private:
     void append_if_pending(
-        std::size_t p, std::uint32_t flat, std::uint32_t listing,
+        std::size_t p, std::uint32_t flat, std::uint64_t listing,
         std::vector<std::pair<TaskId, std::size_t>>& out) const {
       if (impl_.cur_proc_[flat] != p) return;  // moved away
       if (impl_.state_[flat] != State::kPending) return;
@@ -681,7 +686,6 @@ class ScheduleSimulator::Impl {
   /// moves it emits.
   void consult(OnlineEvent::Kind kind, std::size_t p, double now) {
     if (policy_ == nullptr) return;
-    listed_.resize(proc_of_.size());  // sized by the first consulted run
     moves_scratch_.clear();
     const ViewAdapter view(*this);
     policy_->on_event(view, OnlineEvent{kind, p, now}, moves_scratch_);
@@ -689,13 +693,7 @@ class ScheduleSimulator::Impl {
   }
 
   /// A stamp no replica carries yet, for one pending_on listing.
-  std::uint32_t next_listing() const {
-    if (++listing_ == 0) {  // wrapped: forget every stamp
-      std::fill(listed_.begin(), listed_.end(), 0);
-      listing_ = 1;
-    }
-    return listing_;
-  }
+  std::uint64_t next_listing() const { return ++listing_; }
 
   /// Applies the policy's moves in emitted order, then wakes the affected
   /// processors.  Structural violations (unknown replica, dead target,
@@ -870,10 +868,10 @@ class ScheduleSimulator::Impl {
   std::size_t repairs_applied_ = 0;
   ReschedulePolicy* policy_ = nullptr;  ///< live policy of the current run
   std::vector<ReplicaMove> moves_scratch_;
-  // Per replica, the pending_on listing that last appended it.  The stamp
-  // only grows, across runs too, so nothing is reset between listings.
-  mutable std::vector<std::uint32_t> listed_;
-  mutable std::uint32_t listing_ = 0;
+  // Per replica, the pending_on listing that last appended it.  The 64-bit
+  // stamp only grows, across runs too, so nothing is reset between listings.
+  mutable std::vector<std::uint64_t> listed_;
+  mutable std::uint64_t listing_ = 0;
 };
 
 ScheduleSimulator::ScheduleSimulator(const ReplicatedSchedule& schedule,

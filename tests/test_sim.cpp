@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "ftsched/core/ftsa.hpp"
@@ -284,6 +285,38 @@ TEST(Sim, ZeroDurationReplicaFinishesAfterTheCrashThatStartedIt) {
   for (const SimulationResult& r : {fast2, loop2}) {
     EXPECT_EQ(r.outcomes[y.index()][0].status, ReplicaStatus::kDead);
     EXPECT_EQ(r.outcomes[y.index()][0].start, 10.0);
+  }
+}
+
+TEST(Sim, MessageOverAnInfiniteLinkArrivesAtInfinity) {
+  // Chain a -> b, ε = 1, and the link between P0 and P2 never delivers in
+  // finite time:  a: P0 [0,1], P1 [0,1]   b: P2 [2,3], P1 [1,2].
+  // P1 crashes at 0, so b on P2 is left with a on P0 as its only live
+  // source.  Its message still arrives, at +inf, and b runs there.
+  TaskGraph g;
+  const TaskId a = g.add_task("a");
+  const TaskId b = g.add_task("b");
+  g.add_edge(a, b, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const Platform platform({{0, 1, inf}, {1, 0, 1}, {inf, 1, 0}});
+  const CostModel costs(g, platform,
+                        std::vector<std::vector<double>>(2, {1.0, 1.0, 1.0}));
+  ReplicatedSchedule s(costs, 1, "hand");
+  s.place_task(a, {at(0, 0, 1), at(1, 0, 1)});
+  s.place_task(b, {at(2, 2, 3), at(1, 1, 2)});
+  s.set_channels(0, {{0, 0}, {1, 0}, {1, 1}});
+
+  FailureScenario crash;
+  crash.add(ProcId{1u}, 0.0);
+  for (const CommModelKind kind :
+       {CommModelKind::kContentionFree, CommModelKind::kOnePort}) {
+    const SimulationResult r =
+        simulate(s, crash, SimulationOptions{CommModelOptions{kind}});
+    const ReplicaOutcome& late = r.outcomes[b.index()][0];
+    EXPECT_EQ(late.status, ReplicaStatus::kCompleted);
+    EXPECT_EQ(late.start, inf);
+    EXPECT_EQ(late.finish, inf);
+    EXPECT_EQ(r.messages_delivered, 1u);
   }
 }
 
